@@ -43,6 +43,7 @@ from .errors import (
     CycleError,
     DecompositionError,
     LabelError,
+    NegativeRadiusError,
     NonPrincipalError,
     NotChainError,
     NotFinerError,

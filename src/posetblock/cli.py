@@ -306,13 +306,7 @@ def _cmd_isometry_group(config: RunConfig) -> dict:
         "all_decomposed": report.all_decomposed,
     }
     if config.list_elements:
-        group = isometry.enumerate_isometry_group(
-            ctx,
-            budget=config.budget,
-            matrix_budget=config.matrix_budget,
-            exhaustive=config.exhaustive,
-        )
-        payload["elements"] = [[list(row) for row in T.rows] for T in group]
+        payload["elements"] = [[list(row) for row in T.rows] for T in report.members]
     return payload
 
 

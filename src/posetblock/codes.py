@@ -16,6 +16,7 @@ from .errors import (
     ArityError,
     BudgetError,
     LabelError,
+    NegativeRadiusError,
     NotChainError,
     NotFinerError,
     TooSmallError,
@@ -23,12 +24,7 @@ from .errors import (
 )
 from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from .tables import (
-    check_vector_budget,
-    digit_table,
-    two_smallest_code_distances,
-    weight_table,
-)
+from .tables import digit_table, two_smallest_code_distances, weight_table
 
 TailMap = Mapping[tuple[int, ...], tuple[int, ...]] | Callable[[tuple[int, ...]], tuple[int, ...]]
 
@@ -178,14 +174,13 @@ def packing_radius(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
 def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
     """True when radius-`radius` balls around the codewords partition the space."""
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise NegativeRadiusError("radius must be nonnegative")
     d1, d2 = _distance_profiles(code, budget)
     return bool((d1 <= radius).all() and (d2 > radius).all())
 
 
 def _distance_profiles(code: Code, budget: int):
     ctx = code.context
-    check_vector_budget(ctx, budget)
     weights = weight_table(ctx, budget)
     digits = digit_table(ctx, budget)
     return two_smallest_code_distances(ctx, code.coords_list(), weights, digits)

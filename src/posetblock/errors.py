@@ -44,6 +44,10 @@ class BudgetError(PosetBlockError):
     """An enumeration would exceed the configured budget."""
 
 
+class NegativeRadiusError(ValidationError, ValueError):
+    """A radius is negative; also a `ValueError`, so `except ValueError` callers catch it too."""
+
+
 class TooSmallError(ValidationError):
     """The code has fewer than two codewords, so distances are undefined."""
 

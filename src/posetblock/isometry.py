@@ -11,8 +11,9 @@ orders.
 
 from __future__ import annotations
 
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .poset import Permutation
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from .tables import check_vector_budget, digit_table, rank_powers, weight_table
+from .tables import digit_table, rank_powers, weight_table
 
 DEFAULT_MATRIX_BUDGET = 1 << 24
 
@@ -83,9 +84,6 @@ class BlockMatrix:
         cs = self.context.block_slice(j)
         return tuple(row[cs] for row in self.rows[rs])
 
-    def column(self, c: int) -> tuple[int, ...]:
-        return tuple(row[c] for row in self.rows)
-
 
 @dataclass(frozen=True)
 class IsometryDecomposition:
@@ -102,6 +100,7 @@ class GroupReport:
     aut_order: int
     product_matches: bool
     all_decomposed: bool
+    members: tuple[BlockMatrix, ...] = field(default=(), repr=False)
 
 
 # -- membership tests ---------------------------------------------------------
@@ -110,7 +109,6 @@ class GroupReport:
 def is_isometry(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
     """Invertible and weight-preserving on every vector of the space."""
     ctx = T.context
-    check_vector_budget(ctx, budget)
     weights = weight_table(ctx, budget)
     digits = digit_table(ctx, budget)
     return _is_isometry_fast(T, weights, digits, rank_powers(ctx))
@@ -157,19 +155,7 @@ def in_triangular_group(T: BlockMatrix) -> bool:
         for j in poset.elements:
             if not poset.leq(i, j) and any(any(row) for row in T.block(i, j)):
                 return False
-    w = ctx.weight_fn
-    unit = w(1)
-    for r in poset.elements:
-        diag = T.block(r, r)
-        k = ctx.labeling.k[r - 1]
-        cols = list(zip(*diag))
-        if any(max(w(c) for c in col) != unit for col in cols):
-            return False
-        for beta in product(range(ctx.m), repeat=k):
-            image = tuple(sum(a * b for a, b in zip(row, beta)) % ctx.m for row in diag)
-            if max(w(c) for c in image) != max(w(c) for c in beta):
-                return False
-    return True
+    return all(_diagonal_block_ok(ctx, T.block(r, r)) for r in poset.elements)
 
 
 # -- factorization -------------------------------------------------------------
@@ -184,11 +170,12 @@ def induced_automorphism(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) ->
     """
     if not is_isometry(T, budget):
         raise NotIsometryError("map does not preserve the weight")
-    ctx = T.context
-    image = []
-    for i in ctx.poset.elements:
-        target = _principal_target(T, i)
-        image.append(target)
+    return _block_map(T)
+
+
+def _block_map(T: BlockMatrix) -> Permutation:
+    """The induced block permutation of a map already known to be an isometry."""
+    image = [_principal_target(T, i) for i in T.context.poset.elements]
     try:
         return Permutation(tuple(image))
     except ValueError as exc:
@@ -211,14 +198,20 @@ def _principal_target(T: BlockMatrix, i: int) -> int:
 
 def decompose(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> IsometryDecomposition:
     """Factor an isometry as triangular part composed with automorphism lift."""
-    phi = induced_automorphism(T, budget)
-    ctx = T.context
+    if not is_isometry(T, budget):
+        raise NotIsometryError("map does not preserve the weight")
+    return _factor(T)
+
+
+def _factor(T: BlockMatrix) -> IsometryDecomposition:
+    """Factorization of a map already known to be an isometry."""
+    phi = _block_map(T)
     try:
-        lift_inverse = from_automorphism(phi.inverse(), ctx)
-        lift = from_automorphism(phi, ctx)
+        lift = from_automorphism(phi, T.context)
     except NotLabeledAutomorphismError as exc:
         raise DecompositionError(f"induced map {phi.image} is not a labeled automorphism") from exc
-    triangular = T.compose(lift_inverse)
+    # the lift is a permutation matrix, so its transpose is its inverse
+    triangular = T.compose(BlockMatrix(T.context, tuple(zip(*lift.rows))))
     if not in_triangular_group(triangular):
         raise DecompositionError("triangular factor fails the membership conditions")
     if triangular.compose(lift) != T:
@@ -249,7 +242,6 @@ def enumerate_isometry_group(
     """
     if not exhaustive:
         _warn_if_unwarranted(ctx)
-    check_vector_budget(ctx, budget)
     weights = weight_table(ctx, budget)
     digits = digit_table(ctx, budget)
     powers = rank_powers(ctx)
@@ -393,12 +385,16 @@ def _diagonal_block_ok(ctx: SpaceContext, block: tuple[tuple[int, ...], ...]) ->
 
 def _warn_if_unwarranted(ctx: SpaceContext) -> None:
     if not ctx.alphabet.is_field and not has_min_weight_unit(ctx.alphabet, ctx.weight_fn):
+        # attribute the warning to the first caller outside this module
+        frame, level = sys._getframe(1), 2
+        while frame.f_back is not None and frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "no unit attains the minimum nonzero weight over this ring; "
             "the structural guarantees behind the factorization and the "
             "pruned search are not warranted",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -412,9 +408,11 @@ def verify_semidirect(
 
     Enumerates the full group, counts the triangular subgroup and the
     labeled automorphisms, and factorizes every member, requiring exact
-    unique recomposition and matching order product.
+    unique recomposition and matching order product.  The search has
+    already verified each member, so the factorization does not re-test it.
     """
-    _warn_if_unwarranted(ctx)
+    if exhaustive:
+        _warn_if_unwarranted(ctx)  # the pruned search warns for itself
     group = enumerate_isometry_group(ctx, budget, matrix_budget, exhaustive)
     u_order = triangular_group_order(ctx, matrix_budget)
     aut_order = len(ctx.poset.labeled_automorphisms(ctx.labeling))
@@ -422,8 +420,8 @@ def verify_semidirect(
     all_decomposed = True
     for T in group:
         try:
-            dec = decompose(T, budget)
-        except (NotIsometryError, NonPrincipalError, DecompositionError):
+            dec = _factor(T)
+        except (NonPrincipalError, DecompositionError):
             all_decomposed = False
             continue
         factors.add((dec.automorphism.image, dec.triangular.rows))
@@ -435,4 +433,5 @@ def verify_semidirect(
         aut_order=aut_order,
         product_matches=len(group) == u_order * aut_order,
         all_decomposed=all_decomposed,
+        members=tuple(group),
     )

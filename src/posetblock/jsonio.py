@@ -58,7 +58,7 @@ def poset_from_doc(doc: dict) -> Poset:
         pairs.append((pair[0], pair[1]))
     try:
         return Poset.from_covers(s, pairs)
-    except IndexError as exc:
+    except (IndexError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
 
 

@@ -106,10 +106,11 @@ class Poset:
                 if merged != down[b - 1]:
                     down[b - 1] = merged
                     changed = True
-        for i in range(s):
-            for j in range(s):
-                if i != j and down[i] >> j & 1 and down[j] >> i & 1:
-                    raise CycleError(f"covers force {i + 1} <= {j + 1} and {j + 1} <= {i + 1}")
+        # the closure is transitive, so only antisymmetry can fail
+        defect = _order_defect(down)
+        if defect is not None:
+            _, i, j = defect
+            raise CycleError(f"covers force {i} <= {j} and {j} <= {i}")
         return cls(s, tuple(down))
 
     @classmethod
@@ -120,9 +121,13 @@ class Poset:
             _check_element(a, s)
             _check_element(b, s)
             down[b - 1] |= 1 << (a - 1)
-        poset = cls(s, tuple(down))
-        poset._validate()
-        return poset
+        defect = _order_defect(down)
+        if defect is not None:
+            axiom, i, j = defect
+            if axiom == "antisymmetric":
+                raise CycleError(f"antisymmetry fails on {i}, {j}")
+            raise ValueError(f"relation not transitive below {i}")
+        return cls(s, tuple(down))
 
     @classmethod
     def chain(cls, s: int) -> Poset:
@@ -131,22 +136,6 @@ class Poset:
     @classmethod
     def antichain(cls, s: int) -> Poset:
         return cls(s, tuple(1 << i for i in range(s)))
-
-    def _validate(self) -> None:
-        for i in range(self.s):
-            if not self.down[i] >> i & 1:
-                raise ValueError(f"relation not reflexive at {i + 1}")
-        for i in range(self.s):
-            for j in range(self.s):
-                if i != j and self.down[i] >> j & 1 and self.down[j] >> i & 1:
-                    raise CycleError(f"antisymmetry fails on {i + 1}, {j + 1}")
-        for j in range(self.s):
-            closure = self.down[j]
-            for i in range(self.s):
-                if self.down[j] >> i & 1:
-                    closure |= self.down[i]
-            if closure != self.down[j]:
-                raise ValueError(f"relation not transitive below {j + 1}")
 
     # -- relation queries ---------------------------------------------
 
@@ -340,23 +329,29 @@ def all_posets(s: int) -> Iterator[Poset]:
         for bit, (i, j) in enumerate(pairs):
             if choice >> bit & 1:
                 down[j] |= 1 << i
-        if _is_partial_order(s, down):
+        if _order_defect(down) is None:
             yield Poset(s, tuple(down))
 
 
-def _is_partial_order(s: int, down: list[int]) -> bool:
+def _order_defect(down: list[int]) -> tuple[str, int, int] | None:
+    """("antisymmetric", i, j) or ("transitive", j, j) for the first broken axiom, else None.
+
+    Elements are 1-based.  Every caller seeds `down` with the diagonal, so
+    reflexivity holds by construction.
+    """
+    s = len(down)
     for i in range(s):
         for j in range(s):
             if i != j and down[i] >> j & 1 and down[j] >> i & 1:
-                return False
+                return "antisymmetric", i + 1, j + 1
     for j in range(s):
         closure = down[j]
         for i in range(s):
             if down[j] >> i & 1:
                 closure |= down[i]
         if closure != down[j]:
-            return False
-    return True
+            return "transitive", j + 1, j + 1
+    return None
 
 
 def _check_element(i: int, s: int) -> None:

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import Alphabet, WeightFunction, hamming_weight
-from .errors import BudgetError, ContextMismatchError, SizeMismatchError
+from .errors import BudgetError, ContextMismatchError, NegativeRadiusError, SizeMismatchError
 from .poset import Labeling, Poset
 
 DEFAULT_VECTOR_BUDGET = 1 << 20
@@ -226,7 +226,7 @@ class BlockVector:
 def ball(center: BlockVector, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -> list[BlockVector]:
     """All vectors within `radius` of `center`, in lexicographic order."""
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise NegativeRadiusError("radius must be nonnegative")
     ctx = center.context
     if ctx.size > budget:
         raise BudgetError(f"ball enumeration over {ctx.size} vectors, budget {budget}")

@@ -222,6 +222,24 @@ def test_missing_file_is_parse_error(capsys, bundle):
     assert status == 1 and payload["code"] == "parse"
 
 
+def test_empty_poset_is_validation_error(capsys, tmp_path):
+    (tmp_path / "poset.json").write_text(json.dumps({"s": 0}), encoding="utf-8")
+    status = main(["poset-info", "--poset", str(tmp_path / "poset.json")])
+    out = capsys.readouterr().out
+    assert status == 1 and out.count("\n") == 1
+    assert json.loads(out)["code"] == "validation"
+
+
+def test_negative_radius_is_validation_error(capsys, bundle):
+    status, out = invoke(
+        capsys, bundle, "ball", "--center", str(bundle / "zero.json"), "--radius", "-1"
+    )
+    assert status == 1 and out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["code"] == "validation"
+    assert payload["message"] == "radius must be nonnegative"
+
+
 def test_budget_exit_code(capsys, bundle):
     status, out = invoke(
         capsys, bundle, "ball",

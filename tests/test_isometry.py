@@ -119,8 +119,10 @@ def test_induced_automorphism_inverts_the_lift(vee_m2):
 
 
 def test_induced_automorphism_requires_isometry(chain2_m2):
-    with pytest.raises(NotIsometryError):
-        induced_automorphism(BlockMatrix.from_rows(chain2_m2, [(0, 1), (1, 0)]))
+    swap = BlockMatrix.from_rows(chain2_m2, [(0, 1), (1, 0)])
+    for factor in (induced_automorphism, decompose):
+        with pytest.raises(NotIsometryError):
+            factor(swap)
 
 
 def test_decompose_triangular_and_lift(chain2_m2, antichain2_m3):
@@ -142,6 +144,16 @@ def test_decompose_mixed_example(antichain2_m3):
     assert dec.triangular.rows == ((2, 0), (0, 2))
     recomposed = dec.triangular.compose(from_automorphism(dec.automorphism, antichain2_m3))
     assert recomposed == T
+
+
+def test_decompose_divides_by_the_lift_of_the_inverse():
+    # unequal block sizes, so the lift moves whole blocks of two coordinates
+    ctx = space_context(Poset.antichain(3), (2, 1, 2), 2)
+    group = enumerate_isometry_group(ctx)
+    assert len(group) == 72
+    for T in group:
+        dec = decompose(T)
+        assert dec.triangular == T.compose(from_automorphism(dec.automorphism.inverse(), ctx))
 
 
 def test_enumerate_chain_group_elements(chain2_m2):
@@ -308,8 +320,23 @@ def test_ring_without_min_weight_unit_warns():
     ctx = space_context(
         Poset.chain(1), (1,), 6, custom_weight(Alphabet(6), [0, 2, 1, 2, 1, 2])
     )
-    with pytest.warns(RuntimeWarning):
-        verify_semidirect(ctx)
+    for exhaustive in (False, True):
+        with pytest.warns(RuntimeWarning) as record:
+            verify_semidirect(ctx, exhaustive=exhaustive)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+    with pytest.warns(RuntimeWarning) as record:
+        enumerate_isometry_group(ctx)
+    assert len(record) == 1 and record[0].filename == __file__
+
+
+def test_group_report_members_are_the_group(vee_m2):
+    report = verify_semidirect(vee_m2)
+    assert [T.rows for T in report.members] == [
+        T.rows for T in enumerate_isometry_group(vee_m2)
+    ]
+    assert len(report.members) == report.gl_order
+    assert "members" not in repr(report)
 
 
 def test_lee_ring_does_not_warn(recwarn):

@@ -47,6 +47,15 @@ def test_from_covers_cycle_rejected():
         Poset.from_covers(3, [(1, 2), (2, 3), (3, 1)])
 
 
+def test_from_relation_checks_the_order_axioms():
+    # pairs without any (i, i) are closed reflexively, not rejected
+    assert Poset.from_relation(3, [(1, 2), (1, 3), (2, 3)]) == Poset.chain(3)
+    with pytest.raises(CycleError, match="antisymmetry fails on 1, 2"):
+        Poset.from_relation(3, [(1, 2), (2, 1)])
+    with pytest.raises(ValueError, match="relation not transitive below 3"):
+        Poset.from_relation(3, [(1, 2), (2, 3)])
+
+
 def test_from_covers_out_of_range():
     with pytest.raises(IndexError):
         Poset.from_covers(2, [(1, 3)])

@@ -4,10 +4,14 @@ import pytest
 from posetblock import (
     Alphabet,
     BudgetError,
+    Code,
     ContextMismatchError,
+    NegativeRadiusError,
     Poset,
     SizeMismatchError,
+    ValidationError,
     ball,
+    is_r_perfect,
     lee_weight,
     space_context,
 )
@@ -129,6 +133,18 @@ def test_subadditivity_witnesses():
 def test_ball_radius_zero(chain2_m2):
     center = chain2_m2.vector((1, 0))
     assert ball(center, 0) == [center]
+
+
+def test_negative_radius_is_a_validation_error_and_a_value_error(chain2_m2):
+    code = Code.from_words(chain2_m2, [(0, 0), (1, 1)])
+    for check in (lambda: ball(chain2_m2.zero(), -1), lambda: is_r_perfect(code, -1)):
+        try:
+            check()
+        except ValueError as exc:
+            assert isinstance(exc, NegativeRadiusError)
+            assert isinstance(exc, ValidationError)
+        else:
+            pytest.fail("a negative radius was accepted")
 
 
 def test_ball_chain_example(chain2_m2):
