@@ -14,20 +14,6 @@ from .errors import BudgetError, ParseError, PosetBlockError, ValidationError
 from .isometry import DEFAULT_MATRIX_BUDGET
 from .space import DEFAULT_VECTOR_BUDGET, SpaceContext, ball
 
-COMMANDS = (
-    "poset-info",
-    "weigh",
-    "distance",
-    "ball",
-    "code-report",
-    "perfect-construct",
-    "isometry-check",
-    "isometry-group",
-    "decompose",
-    "validate",
-)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -52,12 +38,19 @@ class RunConfig:
     raw_documents: dict[str, str] = field(default_factory=dict)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `ParseError`, so they get the one JSON report too."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posetblock",
         description="Analyze codes and isometry groups of weighted poset block spaces.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--poset", help="poset JSON file {s, covers}")
     common.add_argument("--labeling", help="labeling JSON file {k}")
     common.add_argument("--alphabet", help="alphabet JSON file {m}")
@@ -144,14 +137,14 @@ def run(config: RunConfig) -> int:
     try:
         payload = _dispatch(config)
     except BudgetError as exc:
-        _emit(config, {"code": "budget", "message": str(exc), "witness": None})
+        _emit({"code": "budget", "message": str(exc), "witness": None}, config.pretty)
         return 2
     except PosetBlockError as exc:
-        _emit(config, _error_payload(exc))
+        _emit(_error_payload(exc), config.pretty)
         return 1
     report = {"command": config.command, "inputs_digest": _inputs_digest(config)}
     report.update(payload)
-    _emit(config, report)
+    _emit(report, config.pretty)
     return 0
 
 
@@ -161,8 +154,8 @@ def _error_payload(exc: PosetBlockError) -> dict:
     return {"code": code, "message": str(exc), "witness": witness}
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
-    if config.pretty:
+def _emit(payload: dict, pretty: bool = False) -> None:
+    if pretty:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -170,6 +163,9 @@ def _emit(config: RunConfig, payload: dict) -> None:
 
 
 def _dispatch(config: RunConfig) -> dict:
+    for flag, value in (("--budget", config.budget), ("--matrix-budget", config.matrix_budget)):
+        if value < 0:
+            raise ValidationError(f"{flag} must be nonnegative, got {value}")
     handler = {
         "poset-info": _cmd_poset_info,
         "weigh": _cmd_weigh,
@@ -370,7 +366,11 @@ def _cmd_validate(config: RunConfig) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        config = parse_args(sys.argv[1:] if argv is None else argv)
+    except ParseError as exc:
+        _emit(_error_payload(exc))
+        return 1
     return run(config)
 
 

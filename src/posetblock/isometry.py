@@ -1,21 +1,21 @@
 """Linear isometries of a weighted poset block space.
 
 Block matrices act on column vectors over Z_m.  The group of weight-
-preserving invertible maps is enumerated by brute force (with a pruned
-candidate search by default), every member is factored into a block-
-triangular part composed with a block permutation lifted from a labeled
-poset automorphism, and the factorization is checked to be exact and
-unique, so that the group order equals the product of the two factors'
-orders.
+preserving invertible maps is enumerated by a column-by-column search that
+keeps a partial map only while it preserves the weight on the span of the
+columns chosen so far (or, for cross-validation, by scanning every matrix),
+every member is factored into a block-triangular part composed with a block
+permutation lifted from a labeled poset automorphism, and the factorization
+is checked to be exact and unique, so that the group order equals the
+product of the two factors' orders.
 """
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,11 +151,23 @@ def in_triangular_group(T: BlockMatrix) -> bool:
     """
     ctx = T.context
     poset = ctx.poset
-    for i in poset.elements:
-        for j in poset.elements:
-            if not poset.leq(i, j) and any(any(row) for row in T.block(i, j)):
-                return False
+    supports = _column_supports(T)
+    for j in poset.elements:
+        if any(supp & ~poset.down[j - 1] for supp in supports[ctx.block_slice(j)]):
+            return False
     return all(_diagonal_block_ok(ctx, T.block(r, r)) for r in poset.elements)
+
+
+def _column_supports(T: BlockMatrix) -> list[int]:
+    """Per column, the 0-based bitmask of the blocks where it is nonzero."""
+    ctx = T.context
+    masks = [0] * ctx.n
+    for i in ctx.poset.elements:
+        for row in T.rows[ctx.block_slice(i)]:
+            for c, entry in enumerate(row):
+                if entry:
+                    masks[c] |= 1 << (i - 1)
+    return masks
 
 
 # -- factorization -------------------------------------------------------------
@@ -174,26 +186,26 @@ def induced_automorphism(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) ->
 
 
 def _block_map(T: BlockMatrix) -> Permutation:
-    """The induced block permutation of a map already known to be an isometry."""
-    image = [_principal_target(T, i) for i in T.context.poset.elements]
+    """The induced block permutation of a map already known to be an isometry.
+
+    Block i goes to the generator of the support ideal of T's column at the
+    block's first coordinate, the image of that basis vector.
+    """
+    ctx = T.context
+    supports = _column_supports(T)
+    image = []
+    for i in ctx.poset.elements:
+        maximal = ctx.poset.maximal_mask(ctx.poset.ideal_mask(supports[ctx.offsets[i - 1]]))
+        if maximal.bit_count() != 1:
+            raise NonPrincipalError(
+                f"support ideal of the image of block {i} has maximal set "
+                f"{sorted(e + 1 for e in range(ctx.s) if maximal >> e & 1)}"
+            )
+        image.append(maximal.bit_length())
     try:
         return Permutation(tuple(image))
     except ValueError as exc:
         raise NonPrincipalError(f"induced block map {image} is not a bijection") from exc
-
-
-def _principal_target(T: BlockMatrix, i: int) -> int:
-    ctx = T.context
-    v = ctx.basis_vector(i, 1)
-    supp = T.apply(v).support()
-    ideal = ctx.poset.ideal_mask(sum(1 << (e - 1) for e in supp))
-    maximal = ctx.poset.maximal_mask(ideal)
-    if maximal.bit_count() != 1:
-        raise NonPrincipalError(
-            f"support ideal of the image of block {i} has maximal set "
-            f"{sorted(e + 1 for e in range(ctx.s) if maximal >> e & 1)}"
-        )
-    return maximal.bit_length()
 
 
 def decompose(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> IsometryDecomposition:
@@ -210,8 +222,9 @@ def _factor(T: BlockMatrix) -> IsometryDecomposition:
         lift = from_automorphism(phi, T.context)
     except NotLabeledAutomorphismError as exc:
         raise DecompositionError(f"induced map {phi.image} is not a labeled automorphism") from exc
-    # the lift is a permutation matrix, so its transpose is its inverse
-    triangular = T.compose(BlockMatrix(T.context, tuple(zip(*lift.rows))))
+    # T . lift^-1 = T . lift^T: column c of it is column lift.rows[c].index(1) of T
+    sources = [row.index(1) for row in lift.rows]
+    triangular = BlockMatrix(T.context, tuple(tuple(row[p] for p in sources) for row in T.rows))
     if not in_triangular_group(triangular):
         raise DecompositionError("triangular factor fails the membership conditions")
     if triangular.compose(lift) != T:
@@ -230,18 +243,17 @@ def enumerate_isometry_group(
 ) -> list[BlockMatrix]:
     """All weight-preserving invertible linear maps, in canonical row order.
 
-    The default search restricts the candidate images of each block's basis
-    vectors to vectors generating a principal ideal of matching cardinality
-    and block dimension, with unit weight in the generating block; every
-    candidate is then verified exhaustively.  `exhaustive` scans all m^(n^2)
-    matrices instead, for cross-validation on tiny spaces.
-
-    The candidate restriction is warranted by the structural results on
-    isometries, which assume some multiplicative unit attains the minimum
-    nonzero weight; a pruned search on a ring weight without one warns.
+    The default search picks the image of each basis vector e_c, column by
+    column, among the vectors of weight w(e_c), and keeps a partial map only
+    if it preserves the weight on all m^(c+1) vectors of the span of the
+    columns chosen so far.  The rule assumes nothing about the weight, so the
+    search is exact; a map preserving the weight of every vector is injective,
+    so every complete candidate is a member, and each is still verified
+    exhaustively.  `matrix_budget` bounds the candidate images tested, one per
+    partial map and same-weight vector, counted as the search runs.
+    `exhaustive` scans all m^(n^2) matrices instead, for cross-validation on
+    tiny spaces; there `matrix_budget` bounds m^(n^2) before any is built.
     """
-    if not exhaustive:
-        _warn_if_unwarranted(ctx)
     weights = weight_table(ctx, budget)
     digits = digit_table(ctx, budget)
     powers = rank_powers(ctx)
@@ -258,85 +270,40 @@ def enumerate_isometry_group(
         ]
         return sorted(found, key=lambda t: t.rows)
 
-    targets = [_compatible_targets(ctx, i) for i in ctx.poset.elements]
-    pools = {
-        (i, j): _candidate_images(ctx, j)
-        for i in ctx.poset.elements
-        for j in targets[i - 1]
-    }
-    total = 1
-    for i in ctx.poset.elements:
-        per_block = sum(
-            len(pools[(i, j)]) ** ctx.labeling.k[i - 1] for j in targets[i - 1]
-        )
-        total *= per_block
-    if total > matrix_budget:
-        raise BudgetError(f"{total} pruned candidates exceed budget {matrix_budget}")
-
+    n, m = ctx.n, ctx.m
+    scalars = np.arange(m, dtype=digits.dtype)[:, None]
+    pools = [np.nonzero(weights == weights[p])[0] for p in powers]
+    columns: list[tuple[int, ...]] = []
     found = []
-    for T in _assemble_candidates(ctx, targets, pools):
-        if _is_isometry_fast(T, weights, digits, powers):
-            found.append(T)
+    tested = 0
+
+    def extend(span: np.ndarray) -> None:
+        # span[x] holds the image digits of the domain vector of rank x * m^(n-c)
+        nonlocal tested
+        c = len(columns)
+        if c == n:
+            T = BlockMatrix(ctx, tuple(zip(*columns)))
+            if _is_isometry_fast(T, weights, digits, powers):
+                found.append(T)
+            return
+        expected = weights[:: m ** (n - 1 - c)]
+        for rank in pools[c]:
+            tested += 1
+            if tested > matrix_budget:
+                raise BudgetError(f"isometry search tests more than {matrix_budget} candidate images")
+            image = ((span[:, None, :] + scalars * digits[rank]) % m).reshape(-1, n)
+            if (weights[image @ powers] == expected).all():
+                columns.append(tuple(digits[rank].tolist()))
+                extend(image)
+                columns.pop()
+
+    extend(np.zeros((1, n), dtype=digits.dtype))
     return sorted(found, key=lambda t: t.rows)
 
 
 def _matrix_from_flat(ctx: SpaceContext, entries: tuple[int, ...]) -> BlockMatrix:
     n = ctx.n
     return BlockMatrix(ctx, tuple(entries[r * n : (r + 1) * n] for r in range(n)))
-
-
-def _compatible_targets(ctx: SpaceContext, i: int) -> list[int]:
-    poset = ctx.poset
-    size = poset.down[i - 1].bit_count()
-    return [
-        j
-        for j in poset.elements
-        if poset.down[j - 1].bit_count() == size
-        and ctx.labeling.k[j - 1] == ctx.labeling.k[i - 1]
-    ]
-
-
-def _candidate_images(ctx: SpaceContext, j: int) -> list[tuple[int, ...]]:
-    """Vectors supported inside the ideal of j whose block j has unit weight."""
-    w = ctx.weight_fn
-    unit = w(1)
-    below = ctx.poset.down[j - 1] & ~(1 << (j - 1))
-    per_block: list[list[tuple[int, ...]]] = []
-    for b in ctx.poset.elements:
-        k = ctx.labeling.k[b - 1]
-        if b == j:
-            choices = [
-                blk
-                for blk in product(range(ctx.m), repeat=k)
-                if max(w(c) for c in blk) == unit
-            ]
-        elif below >> (b - 1) & 1:
-            choices = list(product(range(ctx.m), repeat=k))
-        else:
-            choices = [(0,) * k]
-        per_block.append(choices)
-    return [tuple(c for blk in combo for c in blk) for combo in product(*per_block)]
-
-
-def _assemble_candidates(
-    ctx: SpaceContext,
-    targets: list[list[int]],
-    pools: dict[tuple[int, int], list[tuple[int, ...]]],
-) -> Iterator[BlockMatrix]:
-    n = ctx.n
-    block_choices = []
-    for i in ctx.poset.elements:
-        k = ctx.labeling.k[i - 1]
-        options = []
-        for j in targets[i - 1]:
-            options.extend(product(pools[(i, j)], repeat=k))
-        block_choices.append(options)
-    for assignment in product(*block_choices):
-        cols: list[tuple[int, ...]] = []
-        for block_cols in assignment:
-            cols.extend(block_cols)
-        rows = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-        yield BlockMatrix(ctx, rows)
 
 
 def triangular_group_order(
@@ -383,21 +350,6 @@ def _diagonal_block_ok(ctx: SpaceContext, block: tuple[tuple[int, ...], ...]) ->
     return True
 
 
-def _warn_if_unwarranted(ctx: SpaceContext) -> None:
-    if not ctx.alphabet.is_field and not has_min_weight_unit(ctx.alphabet, ctx.weight_fn):
-        # attribute the warning to the first caller outside this module
-        frame, level = sys._getframe(1), 2
-        while frame.f_back is not None and frame.f_globals is globals():
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            "no unit attains the minimum nonzero weight over this ring; "
-            "the structural guarantees behind the factorization and the "
-            "pruned search are not warranted",
-            RuntimeWarning,
-            stacklevel=level,
-        )
-
-
 def verify_semidirect(
     ctx: SpaceContext,
     budget: int = DEFAULT_VECTOR_BUDGET,
@@ -410,9 +362,18 @@ def verify_semidirect(
     labeled automorphisms, and factorizes every member, requiring exact
     unique recomposition and matching order product.  The search has
     already verified each member, so the factorization does not re-test it.
+
+    The factorization rests on the structural results on isometries, which
+    assume some multiplicative unit attains the minimum nonzero weight; over
+    a ring weight without one, this warns once.
     """
-    if exhaustive:
-        _warn_if_unwarranted(ctx)  # the pruned search warns for itself
+    if not ctx.alphabet.is_field and not has_min_weight_unit(ctx.alphabet, ctx.weight_fn):
+        warnings.warn(
+            "no unit attains the minimum nonzero weight over this ring; "
+            "the structural guarantees behind the factorization are not warranted",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     group = enumerate_isometry_group(ctx, budget, matrix_budget, exhaustive)
     u_order = triangular_group_order(ctx, matrix_budget)
     aut_order = len(ctx.poset.labeled_automorphisms(ctx.labeling))

@@ -45,6 +45,12 @@ def _int_list(value, where: str) -> list[int]:
     return list(value)
 
 
+def _int_rows(value, where: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}s must be a list of integer lists")
+    return [_int_list(row, where) for row in value]
+
+
 def poset_from_doc(doc: dict) -> Poset:
     s = _int_field(doc, "s", "poset")
     covers = doc.get("covers", [])
@@ -103,10 +109,10 @@ def vector_from_doc(doc: dict, ctx: SpaceContext) -> BlockVector:
 def code_from_doc(doc: dict, ctx: SpaceContext, budget: int) -> Code:
     try:
         if "generator" in doc:
-            rows = [_int_list(r, "generator row") for r in doc["generator"]]
+            rows = _int_rows(doc["generator"], "generator row")
             return Code.from_generator(ctx, rows, budget=budget)
         if "codewords" in doc:
-            words = [_int_list(w, "codeword") for w in doc["codewords"]]
+            words = _int_rows(doc["codewords"], "codeword")
             linear = bool(doc.get("linear", False))
             return Code.from_words(ctx, words, linear=linear)
     except ValueError as exc:

@@ -260,3 +260,49 @@ def test_pretty_output_parses(capsys, bundle):
     assert status == 0
     assert "\n" in out.strip()
     assert json.loads(out)["s"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weigh"],
+        ["weigh", "--vector", "v.json", "--budget", "abc"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_error_is_parse_error(capsys, argv):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out.count("\n") == 1 and captured.err == ""
+    assert json.loads(captured.out)["code"] == "parse"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: posetblock")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("weigh", "--budget"), ("isometry-group", "--budget"), ("isometry-group", "--matrix-budget")],
+)
+def test_negative_budget_is_validation_error(capsys, bundle, command, flag):
+    extra = ["--vector", str(bundle / "vector.json")] if command == "weigh" else []
+    status, out = invoke(capsys, bundle, command, *extra, flag, "-1")
+    assert status == 1 and out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["code"] == "validation"
+    assert payload["message"] == f"{flag} must be nonnegative, got -1"
+
+
+@pytest.mark.parametrize(
+    "doc", [{"codewords": 5}, {"codewords": None}, {"generator": 5}, {"generator": "x"}]
+)
+def test_code_document_that_is_not_a_list_is_parse_error(capsys, bundle, tmp_path, doc):
+    (tmp_path / "bad_code.json").write_text(json.dumps(doc), encoding="utf-8")
+    status, out = invoke(capsys, bundle, "code-report", "--code", str(tmp_path / "bad_code.json"))
+    assert status == 1 and out.count("\n") == 1
+    assert json.loads(out)["code"] == "parse"

@@ -6,6 +6,7 @@ import pytest
 from posetblock import (
     Alphabet,
     BlockMatrix,
+    BudgetError,
     NotIsometryError,
     NotLabeledAutomorphismError,
     Permutation,
@@ -17,6 +18,7 @@ from posetblock import (
     induced_automorphism,
     is_isometry,
     custom_weight,
+    hamming_weight,
     lee_weight,
     space_context,
     triangular_group_order,
@@ -315,7 +317,42 @@ def test_pruned_search_matches_exhaustive_randomized():
         assert [t.rows for t in pruned] == [t.rows for t in exhaustive]
 
 
-def test_ring_without_min_weight_unit_warns():
+def test_search_matches_exhaustive_on_three_coordinates():
+    import random
+
+    from posetblock import all_posets
+
+    rng = random.Random(43)
+    shapes = [
+        (poset, k)
+        for s in (1, 2, 3)
+        for poset in all_posets(s)
+        for k in product((1, 2, 3), repeat=s)
+        if sum(k) == 3
+    ]
+    weights = {
+        2: [hamming_weight, lee_weight, lambda a: custom_weight(a, [0, 2])],
+        3: [hamming_weight, lee_weight, lambda a: custom_weight(a, [0, 2, 2])],
+    }
+    # m = 3 scans 3^9 matrices per space, so it gets fewer draws
+    for m, draws in ((2, 10), (3, 4)):
+        for poset, k in rng.sample(shapes, draws):
+            ctx = space_context(poset, k, m, rng.choice(weights[m])(Alphabet(m)))
+            search = enumerate_isometry_group(ctx)
+            exhaustive = enumerate_isometry_group(ctx, exhaustive=True)
+            assert [t.rows for t in search] == [t.rows for t in exhaustive]
+
+
+def test_search_budget_counts_candidate_images():
+    # 3 weight-1 images for e_1, 3 for e_2 under each, 3 for e_3 under each of
+    # the 6 spans of weight 2: 30 tests; without pruning e_2 it would be 39
+    ctx = space_context(Poset.antichain(3), (1, 1, 1), 2)
+    assert len(enumerate_isometry_group(ctx, matrix_budget=30)) == 6
+    with pytest.raises(BudgetError):
+        enumerate_isometry_group(ctx, matrix_budget=29)
+
+
+def test_ring_without_min_weight_unit_warns(recwarn):
     # over Z_6 only the non-units 2 and 4 attain the minimum weight
     ctx = space_context(
         Poset.chain(1), (1,), 6, custom_weight(Alphabet(6), [0, 2, 1, 2, 1, 2])
@@ -325,9 +362,11 @@ def test_ring_without_min_weight_unit_warns():
             verify_semidirect(ctx, exhaustive=exhaustive)
         assert len(record) == 1
         assert record[0].filename == __file__
-    with pytest.warns(RuntimeWarning) as record:
-        enumerate_isometry_group(ctx)
-    assert len(record) == 1 and record[0].filename == __file__
+    # the search assumes nothing about the weight, so it has nothing to warn about
+    recwarn.clear()
+    for exhaustive in (False, True):
+        enumerate_isometry_group(ctx, exhaustive=exhaustive)
+    assert not recwarn.list
 
 
 def test_group_report_members_are_the_group(vee_m2):
