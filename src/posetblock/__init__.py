@@ -42,6 +42,7 @@ from .errors import (
     ContextMismatchError,
     CycleError,
     DecompositionError,
+    InvalidValueError,
     LabelError,
     NegativeRadiusError,
     NonPrincipalError,
@@ -49,6 +50,7 @@ from .errors import (
     NotFinerError,
     NotIsometryError,
     NotLabeledAutomorphismError,
+    OutOfRangeError,
     ParseError,
     PosetBlockError,
     SizeMismatchError,

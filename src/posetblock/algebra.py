@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import AxiomError, SizeMismatchError
+from .errors import AxiomError, InvalidValueError, SizeMismatchError
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,7 @@ class Alphabet:
 
     def __post_init__(self):
         if self.m < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.m}")
+            raise InvalidValueError(f"modulus must be at least 2, got {self.m}")
 
     @cached_property
     def is_field(self) -> bool:

@@ -58,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=DEFAULT_VECTOR_BUDGET,
                         help="max vectors enumerated (default 2^20)")
     common.add_argument("--matrix-budget", type=int, default=DEFAULT_MATRIX_BUDGET,
-                        dest="matrix_budget", help="max candidate matrices (default 2^24)")
+                        dest="matrix_budget", help="max candidate column images the isometry "
+                        "search tests, also for diagonal blocks; with --exhaustive, max m^(n^2) "
+                        "matrices (default 2^24)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized fixtures")
     common.add_argument("--pretty", action="store_true", help="indent the JSON report")
 
@@ -282,7 +284,7 @@ def _cmd_isometry_check(config: RunConfig) -> dict:
     T = jsonio.matrix_from_doc(_load(config, "matrix", config.matrix), ctx)
     return {
         "is_isometry": isometry.is_isometry(T, budget=config.budget),
-        "in_triangular_group": isometry.in_triangular_group(T),
+        "in_triangular_group": isometry.in_triangular_group(T, budget=config.budget),
     }
 
 

@@ -44,8 +44,16 @@ class BudgetError(PosetBlockError):
     """An enumeration would exceed the configured budget."""
 
 
-class NegativeRadiusError(ValidationError, ValueError):
-    """A radius is negative; also a `ValueError`, so `except ValueError` callers catch it too."""
+class InvalidValueError(ValidationError, ValueError):
+    """An argument lies outside its domain; also a `ValueError`, for `except ValueError` callers."""
+
+
+class OutOfRangeError(ValidationError, IndexError):
+    """An element, block or coordinate index lies outside its range; also an `IndexError`."""
+
+
+class NegativeRadiusError(InvalidValueError):
+    """A radius is negative."""
 
 
 class TooSmallError(ValidationError):

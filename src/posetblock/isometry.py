@@ -7,14 +7,17 @@ columns chosen so far (or, for cross-validation, by scanning every matrix),
 every member is factored into a block-triangular part composed with a block
 permutation lifted from a labeled poset automorphism, and the factorization
 is checked to be exact and unique, so that the group order equals the
-product of the two factors' orders.
+product of the two factors' orders.  The same isometry test and search
+also check and count the diagonal blocks of the triangular part.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +32,8 @@ from .errors import (
     NotLabeledAutomorphismError,
     SizeMismatchError,
 )
-from .poset import Permutation
-from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
+from .poset import Permutation, Poset
+from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, space_context
 from .tables import digit_table, rank_powers, weight_table
 
 DEFAULT_MATRIX_BUDGET = 1 << 24
@@ -126,6 +129,7 @@ def _is_isometry_fast(
     return len(np.unique(image_ranks)) == len(weights)
 
 
+@lru_cache(maxsize=1024)
 def from_automorphism(phi: Permutation, ctx: SpaceContext) -> BlockMatrix:
     """Block permutation matrix sending block i identically onto block phi(i)."""
     if not ctx.poset.is_labeled_automorphism(phi, ctx.labeling):
@@ -142,12 +146,17 @@ def from_automorphism(phi: Permutation, ctx: SpaceContext) -> BlockMatrix:
     return BlockMatrix(ctx, tuple(tuple(r) for r in rows))
 
 
-def in_triangular_group(T: BlockMatrix) -> bool:
+def in_triangular_group(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
     """Block-triangular with respect to the poset, with weight-preserving diagonal.
 
-    Requires zero blocks wherever the row block is not below the column
-    block, unit-weight columns in each diagonal block, and block-max weight
-    preservation of the diagonal action, checked over all block vectors.
+    T must vanish on every block (i, j) with i not below j, and each diagonal
+    block T_rr must preserve the block-max weight on Z_m^(k_r); the latter is
+    `is_isometry` (under `budget`) on T's block-diagonal part D, as w(a) > 0
+    for a != 0.  If each T_rr does, D keeps every block's support and block
+    max, hence every weight.  Conversely a nonzero x in block r alone has
+    weight blockmax(x_r) + max_weight * (|down(r)| - 1), and D x is T_rr x_r in
+    block r, so an isometry D makes T_rr preserve the block max (x = e_c: each
+    column has weight w(1)).
     """
     ctx = T.context
     poset = ctx.poset
@@ -155,7 +164,12 @@ def in_triangular_group(T: BlockMatrix) -> bool:
     for j in poset.elements:
         if any(supp & ~poset.down[j - 1] for supp in supports[ctx.block_slice(j)]):
             return False
-    return all(_diagonal_block_ok(ctx, T.block(r, r)) for r in poset.elements)
+    owner = [i for i in poset.elements for _ in range(ctx.labeling.k[i - 1])]
+    diagonal = tuple(
+        tuple(entry if owner[r] == owner[c] else 0 for c, entry in enumerate(row))
+        for r, row in enumerate(T.rows)
+    )
+    return is_isometry(BlockMatrix(ctx, diagonal), budget)
 
 
 def _column_supports(T: BlockMatrix) -> list[int]:
@@ -212,10 +226,10 @@ def decompose(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> IsometryDe
     """Factor an isometry as triangular part composed with automorphism lift."""
     if not is_isometry(T, budget):
         raise NotIsometryError("map does not preserve the weight")
-    return _factor(T)
+    return _factor(T, budget)
 
 
-def _factor(T: BlockMatrix) -> IsometryDecomposition:
+def _factor(T: BlockMatrix, budget: int) -> IsometryDecomposition:
     """Factorization of a map already known to be an isometry."""
     phi = _block_map(T)
     try:
@@ -225,7 +239,7 @@ def _factor(T: BlockMatrix) -> IsometryDecomposition:
     # T . lift^-1 = T . lift^T: column c of it is column lift.rows[c].index(1) of T
     sources = [row.index(1) for row in lift.rows]
     triangular = BlockMatrix(T.context, tuple(tuple(row[p] for p in sources) for row in T.rows))
-    if not in_triangular_group(triangular):
+    if not in_triangular_group(triangular, budget):
         raise DecompositionError("triangular factor fails the membership conditions")
     if triangular.compose(lift) != T:
         raise DecompositionError("recomposition does not reproduce the map")
@@ -311,43 +325,23 @@ def triangular_group_order(
 ) -> int:
     """Order of the block-triangular subgroup, counted block by block.
 
-    Diagonal blocks are enumerated exhaustively against the membership
-    conditions; blocks over strict relations i < j are free.
+    A diagonal block of size k is any isometry of the one-block space Z_m^k
+    with the same weight (see `in_triangular_group`), counted once per k by the
+    group search under `matrix_budget`; blocks over strict relations are free.
     """
-    diag_counts: dict[int, int] = {}
-    for k in set(ctx.labeling.k):
-        total = ctx.m ** (k * k)
-        if total > matrix_budget:
-            raise BudgetError(f"{total} diagonal candidates exceed budget {matrix_budget}")
-        diag_counts[k] = sum(
-            1
-            for entries in product(range(ctx.m), repeat=k * k)
-            if _diagonal_block_ok(ctx, tuple(entries[r * k : (r + 1) * k] for r in range(k)))
-        )
-    order = 1
-    for k in ctx.labeling.k:
-        order *= diag_counts[k]
+    diag_counts = {
+        k: len(enumerate_isometry_group(
+            space_context(Poset.chain(1), (k,), ctx.m, ctx.weight_fn), matrix_budget=matrix_budget
+        ))
+        for k in set(ctx.labeling.k)
+    }
     free = sum(
         ctx.labeling.k[i - 1] * ctx.labeling.k[j - 1]
         for i in ctx.poset.elements
         for j in ctx.poset.elements
         if i != j and ctx.poset.leq(i, j)
     )
-    return order * ctx.m**free
-
-
-def _diagonal_block_ok(ctx: SpaceContext, block: tuple[tuple[int, ...], ...]) -> bool:
-    w = ctx.weight_fn
-    unit = w(1)
-    k = len(block)
-    cols = list(zip(*block))
-    if any(max(w(c) for c in col) != unit for col in cols):
-        return False
-    for beta in product(range(ctx.m), repeat=k):
-        image = tuple(sum(a * b for a, b in zip(row, beta)) % ctx.m for row in block)
-        if max(w(c) for c in image) != max(w(c) for c in beta):
-            return False
-    return True
+    return prod(diag_counts[k] for k in ctx.labeling.k) * ctx.m**free
 
 
 def verify_semidirect(
@@ -381,7 +375,7 @@ def verify_semidirect(
     all_decomposed = True
     for T in group:
         try:
-            dec = _factor(T)
+            dec = _factor(T, budget)
         except (NonPrincipalError, DecompositionError):
             all_decomposed = False
             continue

@@ -62,26 +62,17 @@ def poset_from_doc(doc: dict) -> Poset:
         if len(pair) != 2:
             raise ParseError(f"poset cover {entry} must be a pair")
         pairs.append((pair[0], pair[1]))
-    try:
-        return Poset.from_covers(s, pairs)
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+    return Poset.from_covers(s, pairs)
 
 
 def labeling_from_doc(doc: dict) -> Labeling:
     if "k" not in doc:
         raise ParseError("labeling document misses key 'k'")
-    try:
-        return Labeling(tuple(_int_list(doc["k"], "labeling 'k'")))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return Labeling(tuple(_int_list(doc["k"], "labeling 'k'")))
 
 
 def alphabet_from_doc(doc: dict) -> Alphabet:
-    try:
-        return Alphabet(_int_field(doc, "m", "alphabet"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return Alphabet(_int_field(doc, "m", "alphabet"))
 
 
 def weight_from_doc(doc: dict, alphabet: Alphabet) -> WeightFunction:
@@ -100,23 +91,17 @@ def weight_from_doc(doc: dict, alphabet: Alphabet) -> WeightFunction:
 def vector_from_doc(doc: dict, ctx: SpaceContext) -> BlockVector:
     if "coords" not in doc:
         raise ParseError("vector document misses key 'coords'")
-    try:
-        return ctx.vector(_int_list(doc["coords"], "vector 'coords'"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return ctx.vector(_int_list(doc["coords"], "vector 'coords'"))
 
 
 def code_from_doc(doc: dict, ctx: SpaceContext, budget: int) -> Code:
-    try:
-        if "generator" in doc:
-            rows = _int_rows(doc["generator"], "generator row")
-            return Code.from_generator(ctx, rows, budget=budget)
-        if "codewords" in doc:
-            words = _int_rows(doc["codewords"], "codeword")
-            linear = bool(doc.get("linear", False))
-            return Code.from_words(ctx, words, linear=linear)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    if "generator" in doc:
+        rows = _int_rows(doc["generator"], "generator row")
+        return Code.from_generator(ctx, rows, budget=budget)
+    if "codewords" in doc:
+        words = _int_rows(doc["codewords"], "codeword")
+        linear = bool(doc.get("linear", False))
+        return Code.from_words(ctx, words, linear=linear)
     raise ParseError("code document needs 'codewords' or 'generator'")
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, CycleError, SizeMismatchError
+from .errors import BudgetError, CycleError, InvalidValueError, OutOfRangeError, SizeMismatchError
 
 AUTOMORPHISM_SIZE_CAP = 10
 POSET_ENUMERATION_CAP = 5
@@ -26,7 +26,7 @@ class Permutation:
     def __post_init__(self):
         s = len(self.image)
         if sorted(self.image) != list(range(1, s + 1)):
-            raise ValueError(f"not a bijection of [{s}]: {self.image}")
+            raise InvalidValueError(f"not a bijection of [{s}]: {self.image}")
 
     @classmethod
     def identity(cls, s: int) -> Permutation:
@@ -65,7 +65,7 @@ class Labeling:
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         if not self.k or any(v < 1 for v in self.k):
-            raise ValueError(f"block dimensions must be positive: {self.k}")
+            raise InvalidValueError(f"block dimensions must be positive: {self.k}")
 
     @property
     def s(self) -> int:
@@ -85,7 +85,7 @@ class Poset:
 
     def __post_init__(self):
         if self.s < 1 or len(self.down) != self.s:
-            raise ValueError("relation size does not match ground set")
+            raise InvalidValueError("relation size does not match ground set")
 
     # -- constructors -------------------------------------------------
 
@@ -126,7 +126,7 @@ class Poset:
             axiom, i, j = defect
             if axiom == "antisymmetric":
                 raise CycleError(f"antisymmetry fails on {i}, {j}")
-            raise ValueError(f"relation not transitive below {i}")
+            raise InvalidValueError(f"relation not transitive below {i}")
         return cls(s, tuple(down))
 
     @classmethod
@@ -356,7 +356,7 @@ def _order_defect(down: list[int]) -> tuple[str, int, int] | None:
 
 def _check_element(i: int, s: int) -> None:
     if not 1 <= i <= s:
-        raise IndexError(f"element {i} outside 1..{s}")
+        raise OutOfRangeError(f"element {i} outside 1..{s}")
 
 
 def _to_mask(elements: Iterable[int], s: int) -> int:

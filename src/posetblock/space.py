@@ -17,7 +17,14 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import Alphabet, WeightFunction, hamming_weight
-from .errors import BudgetError, ContextMismatchError, NegativeRadiusError, SizeMismatchError
+from .errors import (
+    BudgetError,
+    ContextMismatchError,
+    InvalidValueError,
+    NegativeRadiusError,
+    OutOfRangeError,
+    SizeMismatchError,
+)
 from .poset import Labeling, Poset
 
 DEFAULT_VECTOR_BUDGET = 1 << 20
@@ -83,7 +90,7 @@ class SpaceContext:
 
     def block_slice(self, i: int) -> slice:
         if not 1 <= i <= self.s:
-            raise IndexError(f"block {i} outside 1..{self.s}")
+            raise OutOfRangeError(f"block {i} outside 1..{self.s}")
         return slice(self.offsets[i - 1], self.offsets[i])
 
     # -- vector factories -------------------------------------------------
@@ -93,7 +100,7 @@ class SpaceContext:
         if len(values) != self.n:
             raise SizeMismatchError(f"expected {self.n} coordinates, got {len(values)}")
         if any(not 0 <= c < self.m for c in values):
-            raise ValueError(f"coordinates must lie in 0..{self.m - 1}: {values}")
+            raise InvalidValueError(f"coordinates must lie in 0..{self.m - 1}: {values}")
         return BlockVector(self, values)
 
     def zero(self) -> BlockVector:
@@ -101,12 +108,11 @@ class SpaceContext:
 
     def basis_vector(self, i: int, j: int) -> BlockVector:
         """The canonical basis vector with a 1 in coordinate j of block i."""
-        if not 1 <= i <= self.s:
-            raise IndexError(f"block {i} outside 1..{self.s}")
+        start = self.block_slice(i).start
         if not 1 <= j <= self.labeling.k[i - 1]:
-            raise IndexError(f"block {i} has no coordinate {j}")
+            raise OutOfRangeError(f"block {i} has no coordinate {j}")
         coords = [0] * self.n
-        coords[self.offsets[i - 1] + j - 1] = 1
+        coords[start + j - 1] = 1
         return BlockVector(self, tuple(coords))
 
     def index_of(self, coords: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ from posetblock import (
     Alphabet,
     AxiomError,
     SizeMismatchError,
+    ValidationError,
     custom_weight,
     hamming_weight,
     lee_weight,
@@ -21,6 +22,12 @@ def test_alphabet_kind(m, prime):
 def test_alphabet_rejects_tiny_modulus():
     with pytest.raises(ValueError):
         Alphabet(1)
+
+
+def test_tiny_modulus_is_a_validation_error_and_a_value_error():
+    with pytest.raises(ValidationError, match="modulus must be at least 2") as info:
+        Alphabet(1)
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])

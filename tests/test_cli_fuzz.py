@@ -54,7 +54,8 @@ def _space(draw):
     pairs = [(i, j) for i in range(1, s + 1) for j in range(i + 1, s + 1)]
     covers = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     m = draw(st.integers(2, 3))
-    # a 3 x 3 diagonal block over Z_3 alone costs seconds in the triangular count
+    # a 3-coordinate block over Z_3 has an 11,232-member isometry group, whose
+    # search and factorization take seconds per example
     k = draw(st.lists(st.integers(1, 5 - m), min_size=s, max_size=s).filter(lambda k: sum(k) <= 3))
     weight = draw(st.one_of(
         st.sampled_from([{"builtin": "hamming"}, {"builtin": "lee"}]),

@@ -289,6 +289,71 @@ def test_hamming_triangular_reduces_to_invertible_diagonal(chain2_m2, vee_m2):
             assert in_triangular_group(T) == (shape_ok and diag_ok)
 
 
+def _diagonal_block_ok(ctx, block):
+    """Oracle: the k x k block preserves the block-max weight on all of Z_m^k.
+
+    The scalar route the library used before its one isometry test:
+    unit-weight columns, then every vector of the block checked in Python.
+    """
+    w = ctx.weight_fn
+    unit = w(1)
+    if any(max(w(c) for c in col) != unit for col in zip(*block)):
+        return False
+    for beta in product(range(ctx.m), repeat=len(block)):
+        image = [sum(a * b for a, b in zip(row, beta)) % ctx.m for row in block]
+        if max(w(c) for c in image) != max(w(c) for c in beta):
+            return False
+    return True
+
+
+def test_triangular_diagonal_condition_on_non_hamming_weights():
+    # invertible diagonal blocks, the Hamming condition, are not enough here:
+    # 2 is a unit of Z_5 but doubles the Lee weight of 1
+    spaces = [
+        space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
+        space_context(Poset.chain(1), (2,), 4, lee_weight(Alphabet(4))),
+        space_context(Poset.antichain(2), (1, 1), 5, custom_weight(Alphabet(5), [0, 2, 1, 1, 2])),
+    ]
+    for ctx in spaces:
+        poset = ctx.poset
+        members = 0
+        for T in all_matrices(ctx):
+            shape_ok = all(
+                not any(any(row) for row in T.block(i, j))
+                for i in poset.elements
+                for j in poset.elements
+                if not poset.leq(i, j)
+            )
+            diag_ok = all(_diagonal_block_ok(ctx, T.block(r, r)) for r in poset.elements)
+            assert in_triangular_group(T) == (shape_ok and diag_ok), (ctx.weight_fn.table, T.rows)
+            members += shape_ok and diag_ok
+        assert members == triangular_group_order(ctx)
+
+
+def test_in_triangular_group_budget_bounds_the_vectors(chain2_m2):
+    T = BlockMatrix.from_rows(chain2_m2, [(1, 1), (0, 1)])
+    with pytest.raises(BudgetError):
+        in_triangular_group(T, budget=chain2_m2.size - 1)
+    assert in_triangular_group(T, budget=chain2_m2.size)
+
+
+def test_factoring_a_group_checks_each_automorphism_once(monkeypatch, chain2_m2, antichain2_m3):
+    calls = []
+    check = Poset.is_labeled_automorphism
+
+    def counted(poset, phi, labeling):
+        calls.append(phi)
+        return check(poset, phi, labeling)
+
+    monkeypatch.setattr(Poset, "is_labeled_automorphism", counted)
+    for ctx, automorphisms in ((chain2_m2, 1), (antichain2_m3, 2)):
+        from_automorphism.cache_clear()
+        calls.clear()
+        report = verify_semidirect(ctx)
+        assert report.all_decomposed and report.gl_order > automorphisms
+        assert len(calls) == automorphisms
+
+
 @pytest.mark.filterwarnings("ignore:no unit attains")
 def test_pruned_search_matches_exhaustive_randomized():
     # deliberately includes ring weights outside the structural warranty

@@ -9,6 +9,7 @@ from posetblock import (
     Permutation,
     Poset,
     SizeMismatchError,
+    ValidationError,
     all_posets,
 )
 
@@ -59,6 +60,24 @@ def test_from_relation_checks_the_order_axioms():
 def test_from_covers_out_of_range():
     with pytest.raises(IndexError):
         Poset.from_covers(2, [(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "build, base, message",
+    [
+        (lambda: Labeling((1, 0)), ValueError, "block dimensions must be positive"),
+        (lambda: Permutation((1, 1)), ValueError, "not a bijection"),
+        (lambda: Poset(0, ()), ValueError, "relation size does not match ground set"),
+        (lambda: Poset.from_relation(3, [(1, 2), (2, 3)]), ValueError, "relation not transitive"),
+        (lambda: Poset.chain(2).leq(1, 3), IndexError, "element 3 outside 1..2"),
+    ],
+    ids=["Labeling", "Permutation", "Poset", "from_relation", "check_element"],
+)
+def test_constructor_errors_are_validation_errors(build, base, message):
+    # also the builtin base, so `except ValueError` / `except IndexError` callers still catch them
+    with pytest.raises(ValidationError, match=message) as info:
+        build()
+    assert isinstance(info.value, base)
 
 
 def test_ideal_of_chain_top():

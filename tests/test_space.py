@@ -46,6 +46,21 @@ def test_vector_validation():
         ctx.vector((0, 2))
 
 
+@pytest.mark.parametrize(
+    "build, base, message",
+    [
+        (lambda ctx: ctx.vector((0, 2)), ValueError, "coordinates must lie in 0..1"),
+        (lambda ctx: ctx.block_slice(3), IndexError, "block 3 outside 1..2"),
+        (lambda ctx: ctx.basis_vector(1, 2), IndexError, "block 1 has no coordinate 2"),
+    ],
+    ids=["vector", "block_slice", "basis_vector"],
+)
+def test_space_errors_are_validation_errors(chain2_m2, build, base, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        build(chain2_m2)
+    assert isinstance(info.value, base)
+
+
 def test_context_cross_validation():
     with pytest.raises(SizeMismatchError):
         space_context(Poset.chain(2), (1, 1, 1), 2)
