@@ -284,7 +284,7 @@ def _cmd_isometry_check(config: RunConfig) -> dict:
     T = jsonio.matrix_from_doc(_load(config, "matrix", config.matrix), ctx)
     return {
         "is_isometry": isometry.is_isometry(T, budget=config.budget),
-        "in_triangular_group": isometry.in_triangular_group(T, budget=config.budget),
+        "in_triangular_group": isometry.in_triangular_group(T),
     }
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .errors import (
     NotLabeledAutomorphismError,
     SizeMismatchError,
 )
-from .poset import Permutation, Poset
-from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, space_context
+from .poset import Labeling, Permutation, Poset
+from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
 from .tables import digit_table, rank_powers, weight_table
 
 DEFAULT_MATRIX_BUDGET = 1 << 24
@@ -111,25 +110,31 @@ class GroupReport:
 
 def is_isometry(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
     """Invertible and weight-preserving on every vector of the space."""
-    ctx = T.context
-    weights = weight_table(ctx, budget)
-    digits = digit_table(ctx, budget)
-    return _is_isometry_fast(T, weights, digits, rank_powers(ctx))
+    return _is_isometry_fast(T, *_tables(T.context, budget))
+
+
+def _tables(ctx: SpaceContext, budget: int = DEFAULT_VECTOR_BUDGET) -> tuple[np.ndarray, ...]:
+    """Weights, digits and rank powers of every vector of the space."""
+    return weight_table(ctx, budget), digit_table(ctx, budget), rank_powers(ctx)
 
 
 def _is_isometry_fast(
     T: BlockMatrix, weights: np.ndarray, digits: np.ndarray, powers: np.ndarray
 ) -> bool:
-    m = T.context.m
-    mat = np.asarray(T.rows, dtype=np.int64)
-    image_digits = digits.astype(np.int64) @ mat.T % m
-    image_ranks = image_digits @ powers
+    mats = np.asarray([T.rows], dtype=np.int64)
+    return _all_isometries(mats, T.context.m, weights, digits, powers)
+
+
+def _all_isometries(
+    mats: np.ndarray, m: int, weights: np.ndarray, digits: np.ndarray, powers: np.ndarray
+) -> bool:
+    """Whether each matrix of the (b, n, n) stack is an isometry of the tables' space."""
+    image_ranks = (digits.astype(np.int64) @ mats.transpose(0, 2, 1) % m) @ powers
     if not (weights[image_ranks] == weights).all():
         return False
-    return len(np.unique(image_ranks)) == len(weights)
+    return bool((np.sort(image_ranks, axis=1) == np.arange(len(weights))).all())
 
 
-@lru_cache(maxsize=1024)
 def from_automorphism(phi: Permutation, ctx: SpaceContext) -> BlockMatrix:
     """Block permutation matrix sending block i identically onto block phi(i)."""
     if not ctx.poset.is_labeled_automorphism(phi, ctx.labeling):
@@ -146,17 +151,12 @@ def from_automorphism(phi: Permutation, ctx: SpaceContext) -> BlockMatrix:
     return BlockMatrix(ctx, tuple(tuple(r) for r in rows))
 
 
-def in_triangular_group(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
+def in_triangular_group(T: BlockMatrix) -> bool:
     """Block-triangular with respect to the poset, with weight-preserving diagonal.
 
     T must vanish on every block (i, j) with i not below j, and each diagonal
-    block T_rr must preserve the block-max weight on Z_m^(k_r); the latter is
-    `is_isometry` (under `budget`) on T's block-diagonal part D, as w(a) > 0
-    for a != 0.  If each T_rr does, D keeps every block's support and block
-    max, hence every weight.  Conversely a nonzero x in block r alone has
-    weight blockmax(x_r) + max_weight * (|down(r)| - 1), and D x is T_rr x_r in
-    block r, so an isometry D makes T_rr preserve the block max (x = e_c: each
-    column has weight w(1)).
+    block T_rr must preserve the block-max weight: be an isometry of the
+    one-block space Z_m^(k_r) (tables within the default vector budget).
     """
     ctx = T.context
     poset = ctx.poset
@@ -164,12 +164,18 @@ def in_triangular_group(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> 
     for j in poset.elements:
         if any(supp & ~poset.down[j - 1] for supp in supports[ctx.block_slice(j)]):
             return False
-    owner = [i for i in poset.elements for _ in range(ctx.labeling.k[i - 1])]
-    diagonal = tuple(
-        tuple(entry if owner[r] == owner[c] else 0 for c, entry in enumerate(row))
-        for r, row in enumerate(T.rows)
-    )
-    return is_isometry(BlockMatrix(ctx, diagonal), budget)
+    for k in set(ctx.labeling.k):
+        blocks = np.asarray(
+            [T.block(r, r) for r in poset.elements if ctx.labeling.k[r - 1] == k], dtype=np.int64
+        )
+        if not _all_isometries(blocks, ctx.m, *_tables(_block_space(ctx, k))):
+            return False
+    return True
+
+
+def _block_space(ctx: SpaceContext, k: int) -> SpaceContext:
+    """The one-block space Z_m^k with the alphabet and weight of `ctx`."""
+    return SpaceContext(Poset.chain(1), Labeling((k,)), ctx.alphabet, ctx.weight_fn)
 
 
 def _column_supports(T: BlockMatrix) -> list[int]:
@@ -224,22 +230,20 @@ def _block_map(T: BlockMatrix) -> Permutation:
 
 def decompose(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> IsometryDecomposition:
     """Factor an isometry as triangular part composed with automorphism lift."""
-    if not is_isometry(T, budget):
-        raise NotIsometryError("map does not preserve the weight")
-    return _factor(T, budget)
-
-
-def _factor(T: BlockMatrix, budget: int) -> IsometryDecomposition:
-    """Factorization of a map already known to be an isometry."""
-    phi = _block_map(T)
+    phi = induced_automorphism(T, budget)
     try:
         lift = from_automorphism(phi, T.context)
     except NotLabeledAutomorphismError as exc:
         raise DecompositionError(f"induced map {phi.image} is not a labeled automorphism") from exc
+    return _factor(T, phi, lift)
+
+
+def _factor(T: BlockMatrix, phi: Permutation, lift: BlockMatrix) -> IsometryDecomposition:
+    """Factorization of an isometry T with block map phi, given phi's lift."""
     # T . lift^-1 = T . lift^T: column c of it is column lift.rows[c].index(1) of T
     sources = [row.index(1) for row in lift.rows]
     triangular = BlockMatrix(T.context, tuple(tuple(row[p] for p in sources) for row in T.rows))
-    if not in_triangular_group(triangular, budget):
+    if not in_triangular_group(triangular):
         raise DecompositionError("triangular factor fails the membership conditions")
     if triangular.compose(lift) != T:
         raise DecompositionError("recomposition does not reproduce the map")
@@ -268,37 +272,37 @@ def enumerate_isometry_group(
     `exhaustive` scans all m^(n^2) matrices instead, for cross-validation on
     tiny spaces; there `matrix_budget` bounds m^(n^2) before any is built.
     """
-    weights = weight_table(ctx, budget)
-    digits = digit_table(ctx, budget)
-    powers = rank_powers(ctx)
+    return sorted(_isometries(ctx, budget, matrix_budget, exhaustive), key=lambda t: t.rows)
 
-    if exhaustive:
-        total = ctx.m ** (ctx.n * ctx.n)
-        if total > matrix_budget:
-            raise BudgetError(f"{total} candidate matrices exceed budget {matrix_budget}")
-        found = [
-            T
-            for entries in product(range(ctx.m), repeat=ctx.n * ctx.n)
-            for T in (_matrix_from_flat(ctx, entries),)
-            if _is_isometry_fast(T, weights, digits, powers)
-        ]
-        return sorted(found, key=lambda t: t.rows)
 
+def _isometries(
+    ctx: SpaceContext, budget: int, matrix_budget: int, exhaustive: bool
+) -> Iterator[BlockMatrix]:
+    """The members of the group in search order; see `enumerate_isometry_group`."""
+    weights, digits, powers = _tables(ctx, budget)
     n, m = ctx.n, ctx.m
+    if exhaustive:
+        if m ** (n * n) > matrix_budget:
+            raise BudgetError(f"{m ** (n * n)} candidate matrices exceed budget {matrix_budget}")
+        for entries in product(range(m), repeat=n * n):
+            T = BlockMatrix(ctx, tuple(entries[r * n : (r + 1) * n] for r in range(n)))
+            if _is_isometry_fast(T, weights, digits, powers):
+                yield T
+        return
+
     scalars = np.arange(m, dtype=digits.dtype)[:, None]
     pools = [np.nonzero(weights == weights[p])[0] for p in powers]
     columns: list[tuple[int, ...]] = []
-    found = []
     tested = 0
 
-    def extend(span: np.ndarray) -> None:
+    def extend(span: np.ndarray) -> Iterator[BlockMatrix]:
         # span[x] holds the image digits of the domain vector of rank x * m^(n-c)
         nonlocal tested
         c = len(columns)
         if c == n:
             T = BlockMatrix(ctx, tuple(zip(*columns)))
             if _is_isometry_fast(T, weights, digits, powers):
-                found.append(T)
+                yield T
             return
         expected = weights[:: m ** (n - 1 - c)]
         for rank in pools[c]:
@@ -308,30 +312,24 @@ def enumerate_isometry_group(
             image = ((span[:, None, :] + scalars * digits[rank]) % m).reshape(-1, n)
             if (weights[image @ powers] == expected).all():
                 columns.append(tuple(digits[rank].tolist()))
-                extend(image)
+                yield from extend(image)
                 columns.pop()
 
-    extend(np.zeros((1, n), dtype=digits.dtype))
-    return sorted(found, key=lambda t: t.rows)
-
-
-def _matrix_from_flat(ctx: SpaceContext, entries: tuple[int, ...]) -> BlockMatrix:
-    n = ctx.n
-    return BlockMatrix(ctx, tuple(entries[r * n : (r + 1) * n] for r in range(n)))
+    yield from extend(np.zeros((1, n), dtype=digits.dtype))
 
 
 def triangular_group_order(
-    ctx: SpaceContext, matrix_budget: int = DEFAULT_MATRIX_BUDGET
+    ctx: SpaceContext, matrix_budget: int = DEFAULT_MATRIX_BUDGET, exhaustive: bool = False
 ) -> int:
     """Order of the block-triangular subgroup, counted block by block.
 
-    A diagonal block of size k is any isometry of the one-block space Z_m^k
-    with the same weight (see `in_triangular_group`), counted once per k by the
-    group search under `matrix_budget`; blocks over strict relations are free.
+    A diagonal block of size k is an isometry of the one-block space Z_m^k
+    (see `in_triangular_group`), counted once per k by the group search or,
+    with `exhaustive`, scan; blocks over strict relations are free.
     """
     diag_counts = {
-        k: len(enumerate_isometry_group(
-            space_context(Poset.chain(1), (k,), ctx.m, ctx.weight_fn), matrix_budget=matrix_budget
+        k: sum(1 for _ in _isometries(
+            _block_space(ctx, k), DEFAULT_VECTOR_BUDGET, matrix_budget, exhaustive
         ))
         for k in set(ctx.labeling.k)
     }
@@ -355,7 +353,9 @@ def verify_semidirect(
     Enumerates the full group, counts the triangular subgroup and the
     labeled automorphisms, and factorizes every member, requiring exact
     unique recomposition and matching order product.  The search has
-    already verified each member, so the factorization does not re-test it.
+    already verified each member, so the factorization does not re-test it,
+    and lifts each automorphism once.  The triangular count uses the same
+    search or, with `exhaustive`, scan as the group.
 
     The factorization rests on the structural results on isometries, which
     assume some multiplicative unit attains the minimum nonzero weight; over
@@ -369,24 +369,22 @@ def verify_semidirect(
             stacklevel=2,
         )
     group = enumerate_isometry_group(ctx, budget, matrix_budget, exhaustive)
-    u_order = triangular_group_order(ctx, matrix_budget)
-    aut_order = len(ctx.poset.labeled_automorphisms(ctx.labeling))
+    u_order = triangular_group_order(ctx, matrix_budget, exhaustive)
+    automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
+    lifts = {phi: from_automorphism(phi, ctx) for phi in automorphisms}
     factors = set()
-    all_decomposed = True
     for T in group:
         try:
-            dec = _factor(T, budget)
-        except (NonPrincipalError, DecompositionError):
-            all_decomposed = False
-            continue
+            phi = _block_map(T)
+            dec = _factor(T, phi, lifts[phi])
+        except (NonPrincipalError, DecompositionError, KeyError):
+            continue  # KeyError: the block map is no labeled automorphism
         factors.add((dec.automorphism.image, dec.triangular.rows))
-    if len(factors) != len(group):
-        all_decomposed = False
     return GroupReport(
         gl_order=len(group),
         u_order=u_order,
-        aut_order=aut_order,
-        product_matches=len(group) == u_order * aut_order,
-        all_decomposed=all_decomposed,
+        aut_order=len(lifts),
+        product_matches=len(group) == u_order * len(lifts),
+        all_decomposed=len(factors) == len(group),
         members=tuple(group),
     )

@@ -25,6 +25,7 @@ from posetblock import (
     verify_semidirect,
 )
 from posetblock.algebra import is_invertible_mod
+from posetblock.space import DEFAULT_VECTOR_BUDGET
 
 
 def all_matrices(ctx):
@@ -328,13 +329,17 @@ def test_triangular_diagonal_condition_on_non_hamming_weights():
             assert in_triangular_group(T) == (shape_ok and diag_ok), (ctx.weight_fn.table, T.rows)
             members += shape_ok and diag_ok
         assert members == triangular_group_order(ctx)
+        assert members == triangular_group_order(ctx, exhaustive=True)
 
 
-def test_in_triangular_group_budget_bounds_the_vectors(chain2_m2):
-    T = BlockMatrix.from_rows(chain2_m2, [(1, 1), (0, 1)])
-    with pytest.raises(BudgetError):
-        in_triangular_group(T, budget=chain2_m2.size - 1)
-    assert in_triangular_group(T, budget=chain2_m2.size)
+def test_in_triangular_group_tests_blocks_not_the_space():
+    # 5^9 vectors exceed the default vector budget; each 3 x 3 block has 5^3
+    ctx = space_context(Poset.chain(3), (3, 3, 3), 5, lee_weight(Alphabet(5)))
+    assert ctx.size > DEFAULT_VECTOR_BUDGET
+    rows = [[int(r == c or (r < 3 and c >= 3)) for c in range(9)] for r in range(9)]
+    assert in_triangular_group(BlockMatrix.from_rows(ctx, rows))
+    rows[4][4] = 2  # doubles the Lee weight of e_5
+    assert not in_triangular_group(BlockMatrix.from_rows(ctx, rows))
 
 
 def test_factoring_a_group_checks_each_automorphism_once(monkeypatch, chain2_m2, antichain2_m3):
@@ -347,7 +352,6 @@ def test_factoring_a_group_checks_each_automorphism_once(monkeypatch, chain2_m2,
 
     monkeypatch.setattr(Poset, "is_labeled_automorphism", counted)
     for ctx, automorphisms in ((chain2_m2, 1), (antichain2_m3, 2)):
-        from_automorphism.cache_clear()
         calls.clear()
         report = verify_semidirect(ctx)
         assert report.all_decomposed and report.gl_order > automorphisms
