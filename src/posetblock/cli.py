@@ -304,7 +304,7 @@ def _cmd_isometry_group(config: RunConfig) -> dict:
         "all_decomposed": report.all_decomposed,
     }
     if config.list_elements:
-        payload["elements"] = [[list(row) for row in T.rows] for T in report.members]
+        payload["elements"] = report.matrices.tolist()
     return payload
 
 

@@ -310,12 +310,11 @@ class Poset:
     def is_labeled_automorphism(self, phi: Permutation, labeling: Labeling) -> bool:
         if phi.degree != self.s or labeling.s != self.s:
             return False
-        return all(
-            labeling.k[phi(i) - 1] == labeling.k[i - 1] for i in self.elements
-        ) and all(
-            self.leq(i, j) == self.leq(phi(i), phi(j))
-            for i in self.elements
-            for j in self.elements
+        image = [v - 1 for v in phi.image]
+        # i <= j iff phi(i) <= phi(j): phi maps each down-set onto its image's
+        return all(labeling.k[image[i]] == labeling.k[i] for i in range(self.s)) and all(
+            self.down[image[j]] == sum(1 << image[i] for i in range(self.s) if down >> i & 1)
+            for j, down in enumerate(self.down)
         )
 
 

@@ -6,8 +6,10 @@ the vector weight depends only on the tuple of block-max scalar weights
 the profile, so the worst sum profile for each profile pair is realized
 by an actual vector pair.  The check over profile pairs is therefore
 exactly equivalent to enumerating all vector pairs, and violations are
-reported with reconstructed witness vectors.  `check_weight_axioms_bruteforce`
-enumerates every vector pair directly and serves as the independent oracle.
+reported with reconstructed witness vectors.  The pairs are checked in
+bounded steps, not as one |values|^s x |values|^s array.
+`check_weight_axioms_bruteforce` enumerates every vector pair directly and
+serves as the independent oracle.
 
 Both routes require w(a) > 0 for nonzero a to make block supports visible
 in profiles; a scalar zero-axiom violation is detected and reported first.
@@ -26,6 +28,8 @@ import numpy as np
 
 from .space import DEFAULT_VECTOR_BUDGET, SpaceContext
 from .tables import digit_table, rank_powers, weight_table
+
+_PAIR_CHUNK = 1 << 18  # profile pairs checked per step of `check_weight_axioms`
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,14 @@ def _achievable_block_weights(table: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def check_weight_axioms(ctx: SpaceContext) -> AxiomCheck:
-    """Exhaustive-equivalent verification of the three weight axioms."""
+    """Exhaustive-equivalent verification of the three weight axioms.
+
+    The triangle check covers all |values|^(2s) profile pairs, in steps of
+    rows that share a head profile, each step at most about `_PAIR_CHUNK`
+    pairs, so its memory is bounded; its time still grows as |values|^(2s),
+    with no budget on s.  A violation's witness is realized from the first
+    pair of largest excess in row-major order.
+    """
     table = ctx.weight_fn.table
     m = ctx.m
 
@@ -118,21 +129,37 @@ def check_weight_axioms(ctx: SpaceContext) -> AxiomCheck:
         for (a, b), c in cmax.items():
             grid[val_index[a], val_index[b]] = val_index[c]
         cmax_by_k[k] = grid
+    grids = [cmax_by_k[k] for k in ctx.labeling.k]
 
-    idx = np.array([[val_index[v] for v in p] for p in profiles], dtype=np.int64)
-    radix = nv ** np.arange(s - 1, -1, -1, dtype=np.int64)
-    sum_code = np.zeros((len(profiles), len(profiles)), dtype=np.int64)
-    for i in range(s):
-        grid = cmax_by_k[ctx.labeling.k[i]]
-        sum_code += grid[idx[:, i][:, None], idx[:, i][None, :]] * radix[i]
+    # the sum code of a pair is head code * tail count + tail code over a split
+    # of the blocks; rows sharing a head profile are checked together, in row
+    # order, keeping the first strict maximum, so the witness is the argmax
+    # over all pairs in row-major order
+    head = next(h for h in range(s + 1) if nv ** (2 * s - h) <= _PAIR_CHUNK or h == s)
+    head_code = _sum_codes(grids[:head], nv)
+    tail_code = _sum_codes(grids[head:], nv)
+    tails = len(tail_code)
+    worst, witness = 0, None
+    for h, codes in enumerate(head_code):
+        rows = slice(h * tails, (h + 1) * tails)
+        sum_code = (codes[None, :, None] * tails + tail_code[:, None, :]).reshape(tails, -1)
+        excess = weights[sum_code] - (weights[rows, None] + weights[None, :])
+        top = excess.max()
+        if top > worst:
+            worst = top
+            ia, ib = divmod(int(excess.argmax()), len(profiles))
+            witness = _triangle_witness(ctx, profiles[h * tails + ia], profiles[ib])
+    return AxiomCheck.passed() if witness is None else AxiomCheck.failed("triangle", witness)
 
-    excess = weights[sum_code] - (weights[:, None] + weights[None, :])
-    if (excess > 0).any():
-        ia, ib = np.unravel_index(int(excess.argmax()), excess.shape)
-        return AxiomCheck.failed(
-            "triangle", _triangle_witness(ctx, profiles[ia], profiles[ib])
-        )
-    return AxiomCheck.passed()
+
+def _sum_codes(grids: list[np.ndarray], nv: int) -> np.ndarray:
+    """Per pair of profiles over these blocks (as value indices, in product
+    order): the index of their worst-case sum profile."""
+    idx = np.array(list(product(range(nv), repeat=len(grids))), dtype=np.int64)
+    codes = np.zeros((len(idx), len(idx)), dtype=np.int64)
+    for i, grid in enumerate(grids):
+        codes = codes * nv + grid[idx[:, i][:, None], idx[:, i][None, :]]
+    return codes
 
 
 def _vector_with_profile(ctx: SpaceContext, profile: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +165,36 @@ def test_decompose_payload(capsys, bundle):
     assert payload["phi"] == [1, 2]
     assert payload["s_part"] == [[1, 1], [0, 1]]
     assert payload["recomposition_exact"]
+
+
+# runs the CLI as `python -m posetblock` does, then reports whether numpy.ma was imported
+_MODULES_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("posetblock", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    sys.stderr.write(f"{exit.code} {'numpy.ma' in sys.modules}")
+"""
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("isometry-group", ("--list",)), ("isometry-group", ("--exhaustive",)),
+     ("decompose", ("--matrix", "matrix.json"))],
+)
+def test_group_commands_do_not_import_numpy_ma(bundle, command, extra):
+    # numpy.ma costs each CLI process an import of over 10 ms
+    args = [str(bundle / arg) if arg.endswith(".json") else arg for arg in extra]
+    argv = [command] + [
+        arg for role in ("poset", "labeling", "alphabet", "weight")
+        for arg in (f"--{role}", str(bundle / f"{role}.json"))
+    ] + args
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert json.loads(done.stdout)["command"] == command
+    assert done.stderr == "0 False"
 
 
 def test_validate_clean_bundle(capsys, bundle):

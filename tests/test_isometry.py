@@ -1,16 +1,22 @@
 from itertools import product
 from math import factorial
 
+import numpy as np
 import pytest
 
 from posetblock import (
     Alphabet,
     BlockMatrix,
     BudgetError,
+    DecompositionError,
+    Labeling,
+    NonPrincipalError,
     NotIsometryError,
     NotLabeledAutomorphismError,
     Permutation,
     Poset,
+    SpaceContext,
+    WeightFunction,
     decompose,
     enumerate_isometry_group,
     from_automorphism,
@@ -24,6 +30,7 @@ from posetblock import (
     triangular_group_order,
     verify_semidirect,
 )
+from posetblock import isometry
 from posetblock.algebra import is_invertible_mod
 from posetblock.space import DEFAULT_VECTOR_BUDGET
 
@@ -412,6 +419,20 @@ def test_search_matches_exhaustive_on_three_coordinates():
             assert [t.rows for t in search] == [t.rows for t in exhaustive]
 
 
+def test_weight_preserving_maps_are_tested_for_bijectivity_when_a_nonzero_weight_is_zero():
+    # a WeightFunction built directly may weigh 3 in Z_6 zero: then x -> 2x
+    # preserves every weight but has kernel {0, 3}
+    table = (0, 1, 1, 0, 1, 1)
+    ctx = SpaceContext(Poset.chain(1), Labeling((1,)), Alphabet(6), WeightFunction(table))
+    doubling = BlockMatrix.from_rows(ctx, [(2,)])
+    assert all(table[2 * a % 6] == table[a] for a in range(6))
+    assert not is_isometry(doubling)
+    for exhaustive in (False, True):
+        assert [T.rows for T in enumerate_isometry_group(ctx, exhaustive=exhaustive)] == [
+            ((1,),), ((5,),)
+        ]
+
+
 def test_search_budget_counts_candidate_images():
     # 3 weight-1 images for e_1, 3 for e_2 under each, 3 for e_3 under each of
     # the 6 spans of weight 2: 30 tests; without pruning e_2 it would be 39
@@ -473,3 +494,116 @@ def test_antichain_group_is_product_of_block_groups():
         for c in counts.values():
             symmetries *= factorial(c)
         assert len(enumerate_isometry_group(ctx)) == per_block * symmetries
+
+
+VEE_M2 = space_context(Poset.from_covers(3, [(1, 3), (2, 3)]), (1, 1, 1), 2)
+LEE5_CHAIN = space_context(Poset.chain(2), (1, 1), 5, lee_weight(Alphabet(5)))
+# the acceptance suite's semidirect fixtures, then Lee and custom ring weights
+FACTOR_SPACES = [
+    space_context(Poset.chain(2), (1, 1), 2),
+    space_context(Poset.antichain(2), (1, 1), 3),
+    space_context(Poset.chain(1), (2,), 2),
+    space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
+    VEE_M2,
+    space_context(Poset.chain(2), (2, 1), 4, lee_weight(Alphabet(4))),
+    space_context(Poset.antichain(2), (1, 1), 4, lee_weight(Alphabet(4))),
+    LEE5_CHAIN,
+    space_context(Poset.antichain(2), (1, 1), 5, custom_weight(Alphabet(5), [0, 2, 1, 1, 2])),
+    space_context(Poset.chain(1), (1,), 6, custom_weight(Alphabet(6), [0, 2, 1, 2, 1, 2])),
+    space_context(Poset.antichain(2), (1, 1), 6, custom_weight(Alphabet(6), [0, 1, 2, 3, 2, 1])),
+]
+
+
+def _stacked_factors(ctx, mats):
+    automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
+    lifts = np.asarray([from_automorphism(phi, ctx).rows for phi in automorphisms])
+    return automorphisms, isometry._factor(ctx, mats, automorphisms, lifts)
+
+
+def test_stacked_factorization_matches_the_per_member_route():
+    for ctx in FACTOR_SPACES:
+        group = enumerate_isometry_group(ctx)
+        mats = np.asarray([T.rows for T in group])
+        automorphisms, (index, triangular, member, exact, unique) = _stacked_factors(ctx, mats)
+        assert member.all() and exact.all() and unique
+        for T, i, U in zip(group, index.tolist(), triangular.tolist()):
+            phi = induced_automorphism(T)
+            assert automorphisms[i] == phi
+            assert U == [list(row) for row in T.compose(from_automorphism(phi.inverse(), ctx)).rows]
+
+
+def _corrupt_duplicate(mats):
+    mats[-1] = mats[0]
+
+
+def _corrupt_zero_column(mats):
+    mats[-1, :, 0] = 0
+
+
+def _corrupt_lower_block(mats):
+    mats[-1, -1, 0] = 1  # block 3 is not below block 1
+
+
+def _corrupt_diagonal(mats):
+    mats[-1, 0, 0] = mats[-1, 0, 0] * 2 % 5  # doubles the Lee weight of block 1's image
+
+
+
+@pytest.mark.parametrize(
+    "ctx,corrupt",
+    [
+        (VEE_M2, _corrupt_duplicate),
+        (VEE_M2, _corrupt_zero_column),
+        (VEE_M2, _corrupt_lower_block),
+        (LEE5_CHAIN, _corrupt_diagonal),
+    ],
+)
+def test_one_corrupted_member_fails_the_report(monkeypatch, ctx, corrupt):
+    search = isometry._isometries
+
+    def corrupted(space, *args):
+        mats = search(space, *args)
+        if space == ctx:
+            mats = mats.copy()
+            corrupt(mats)
+        return mats
+
+    honest = verify_semidirect(ctx)
+    assert honest.all_decomposed
+    monkeypatch.setattr(isometry, "_isometries", corrupted)
+    report = verify_semidirect(ctx)
+    assert report.gl_order == honest.gl_order and report.product_matches
+    assert not report.all_decomposed
+
+
+def test_decompose_error_messages(monkeypatch, chain2_m2, antichain2_m3, lee5_single):
+    swap = BlockMatrix.from_rows(chain2_m2, [(0, 1), (1, 0)])
+    with pytest.raises(NotIsometryError, match=r"^map does not preserve the weight$"):
+        decompose(swap)
+    # the errors past the isometry test signal a faulty test; reach them by skipping it
+    monkeypatch.setattr(isometry, "is_isometry", lambda T, budget: True)
+    cases = [
+        (antichain2_m3, [(1, 0), (1, 1)], NonPrincipalError,
+         "support ideal of the image of block 1 has maximal set [1, 2]"),
+        (antichain2_m3, [(1, 0), (0, 0)], NonPrincipalError,
+         "support ideal of the image of block 2 has maximal set []"),
+        (antichain2_m3, [(1, 1), (0, 1)], NonPrincipalError,
+         "support ideal of the image of block 2 has maximal set [1, 2]"),
+        (antichain2_m3, [(1, 1), (0, 0)], NonPrincipalError,
+         "induced block map [1, 1] is not a bijection"),
+        (chain2_m2, [(0, 1), (1, 0)], DecompositionError,
+         "induced map (2, 1) is not a labeled automorphism"),
+        (lee5_single, [(2,)], DecompositionError,
+         "triangular factor fails the membership conditions"),
+    ]
+    for ctx, rows, error, message in cases:
+        with pytest.raises(error) as info:
+            decompose(BlockMatrix.from_rows(ctx, rows))
+        assert str(info.value) == message
+    # a lift that is no permutation matrix: dividing by it gathers the identity's
+    # columns, but multiplying does not undo that
+    monkeypatch.setattr(
+        isometry, "from_automorphism", lambda phi, ctx: BlockMatrix.from_rows(ctx, [(1, 1), (0, 1)])
+    )
+    with pytest.raises(DecompositionError, match=r"^recomposition does not reproduce the map$"):
+        decompose(BlockMatrix.identity(chain2_m2))

@@ -219,6 +219,18 @@ def test_labeled_automorphisms_are_subset():
         assert labeled <= set(a.image for a in p.automorphisms())
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_is_labeled_automorphism_matches_brute_force(s):
+    labeling = Labeling(tuple(1 + i % 2 for i in range(s)))
+    for p in all_posets(s):
+        for image in permutations(range(1, s + 1)):
+            phi = Permutation(image)
+            oracle = all(
+                p.leq(i, j) == p.leq(phi(i), phi(j)) for i in p.elements for j in p.elements
+            ) and all(labeling.k[phi(i) - 1] == labeling.k[i - 1] for i in p.elements)
+            assert p.is_labeled_automorphism(phi, labeling) == oracle, (p, image)
+
+
 def test_labeled_size_mismatch():
     with pytest.raises(SizeMismatchError):
         Poset.chain(2).labeled_automorphisms(Labeling((1, 1, 1)))
