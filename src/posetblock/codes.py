@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     ArityError,
     BudgetError,
@@ -24,7 +26,15 @@ from .errors import (
 )
 from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from .tables import digit_table, two_smallest_code_distances, weight_table
+from .tables import (
+    block_max_table,
+    digit_table,
+    profile_weights,
+    two_smallest_code_distances,
+    weight_table,
+)
+
+_CHUNK = 1 << 18  # coordinates of the largest vector array one step of a code scan builds
 
 TailMap = Mapping[tuple[int, ...], tuple[int, ...]] | Callable[[tuple[int, ...]], tuple[int, ...]]
 
@@ -80,16 +90,33 @@ class Code:
         return cls(ctx, codewords, linear=True, generator=gens)
 
     def _check_linear(self) -> None:
-        members = {v.coords for v in self.codewords}
-        if self.context.zero().coords not in members:
+        """Raise on the first codeword u, in order, with a multiple c * u
+        (c = 2..m-1) or a sum u + v outside the code, multiples first.
+
+        Vectors are compared by rank with the sorted member ranks, in steps
+        of at most about `_CHUNK` coordinates (one codeword's at the least).
+        """
+        ctx = self.context
+        if not self.codewords[0].is_zero:
             raise ValidationError("linear code must contain the zero vector")
-        for u in self.codewords:
-            for c in range(2, self.context.m):
-                if u.scale(c).coords not in members:
-                    raise ValidationError(f"not closed under scaling: {c} * {u.coords}")
-            for v in self.codewords:
-                if (u + v).coords not in members:
-                    raise ValidationError(f"not closed under addition: {u.coords} + {v.coords}")
+        words = np.asarray(self.coords_list(), dtype=np.int64)
+        # Python integers where a rank may overflow int64
+        wide = np.int64 if ctx.size <= np.iinfo(np.int64).max else object
+        powers = np.asarray([ctx.m ** (ctx.n - 1 - pos) for pos in range(ctx.n)], dtype=wide)
+        members = words @ powers
+        multiples = np.arange(2, ctx.m)[:, None]
+        step = max(1, _CHUNK // ((len(multiples) + len(words)) * ctx.n))
+        for start in range(0, len(words), step):
+            rows = words[start : start + step, None, :]
+            # per codeword u: its multiples, then its sums with every codeword v
+            ranks = np.concatenate([rows * multiples, rows + words], axis=1) % ctx.m @ powers
+            found = members[np.minimum(np.searchsorted(members, ranks), len(members) - 1)]
+            for i, j in np.argwhere(found != ranks)[:1].tolist():
+                u = self.codewords[start + i].coords
+                if j < len(multiples):
+                    raise ValidationError(f"not closed under scaling: {j + 2} * {u}")
+                v = self.codewords[j - len(multiples)].coords
+                raise ValidationError(f"not closed under addition: {u} + {v}")
 
     @property
     def size(self) -> int:
@@ -133,23 +160,59 @@ class MdsPerfectCheck:
 
 
 def min_distance(code: Code) -> int:
-    """Smallest distance between distinct codewords."""
-    if code.size < 2:
-        raise TooSmallError("minimum distance needs at least two codewords")
-    if code.linear:
-        return min(v.weight() for v in code.codewords if not v.is_zero)
-    return min(u.distance(v) for u, v in combinations(code.codewords, 2))
+    """Smallest distance between distinct codewords.
+
+    The distances are the weights of the differences u - v over the pairs
+    of codewords u before v, or for a linear code of its nonzero codewords.
+    Their block-max profiles are weighed by `profile_weights` in steps of at
+    most about `_CHUNK` coordinates, so no whole-space table is built and the
+    space may exceed the vector budget.
+    """
+    return _min_weight(code, code.context)
 
 
 def hamming_min_distance(code: Code) -> int:
-    """Minimum distance of the same codewords under the Hamming scalar weight."""
-    return min_distance(code.in_context(code.context.hamming()))
+    """Minimum distance of the same codewords under the Hamming scalar weight.
+
+    Runs `min_distance`'s routine with the weights of `code.context.hamming()`.
+    """
+    return _min_weight(code, code.context.hamming())
+
+
+def _min_weight(code: Code, ctx: SpaceContext) -> int:
+    """Smallest weight in `ctx` of the differences that `min_distance` names."""
+    if code.size < 2:
+        raise TooSmallError("minimum distance needs at least two codewords")
+    return min(
+        int(profile_weights(ctx, block_max_table(ctx, rows)).min())
+        for rows in _differences(code)
+    )
+
+
+def _differences(code: Code) -> Iterator[np.ndarray]:
+    """The difference rows of `min_distance`, in steps of at most about
+    `_CHUNK` coordinates (one codeword's pairs at the least)."""
+    ctx = code.context
+    words = np.asarray(code.coords_list(), dtype=np.int64)
+    if code.linear:
+        nonzero = words[words.any(axis=1)]
+        yield from np.array_split(nonzero, -(-nonzero.size // _CHUNK))
+        return
+    step = max(1, _CHUNK // (len(words) * ctx.n))
+    for start in range(0, len(words) - 1, step):
+        first = np.arange(start, min(start + step, len(words) - 1))
+        later = np.arange(start + 1, len(words))
+        pairs = (words[first, None, :] - words[None, later, :]) % ctx.m
+        yield pairs[later[None, :] > first[:, None]]
 
 
 def singleton_params(code: Code) -> SingletonParams:
     """Singleton data: ideal size, its best dimension sum, the bound, MDS flag."""
+    return _singleton_params(code, min_distance(code))
+
+
+def _singleton_params(code: Code, d: int) -> SingletonParams:
     ctx = code.context
-    d = min_distance(code)
     lam = (d - ctx.min_nonzero_weight) // ctx.max_weight
     if lam == 0:
         mu = 0
@@ -167,39 +230,55 @@ def packing_radius(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
     """Largest radius at which codeword balls stay pairwise disjoint."""
     if code.size < 2:
         raise TooSmallError("packing radius needs at least two codewords")
-    _, d2 = _distance_profiles(code, budget)
-    return int(d2.min()) - 1
+    return _packing_radius(_distance_profiles(code, budget))
 
 
 def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
     """True when radius-`radius` balls around the codewords partition the space."""
     if radius < 0:
         raise NegativeRadiusError("radius must be nonnegative")
-    d1, d2 = _distance_profiles(code, budget)
-    return bool((d1 <= radius).all() and (d2 > radius).all())
+    return _is_r_perfect(_distance_profiles(code, budget), radius)
 
 
-def _distance_profiles(code: Code, budget: int):
+def _distance_profiles(code: Code, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per vector of the space, its smallest and second-smallest distance to the code."""
     ctx = code.context
     weights = weight_table(ctx, budget)
     digits = digit_table(ctx, budget)
     return two_smallest_code_distances(ctx, code.coords_list(), weights, digits)
 
 
+def _packing_radius(profiles: tuple[np.ndarray, np.ndarray]) -> int:
+    return int(profiles[1].min()) - 1
+
+
+def _is_r_perfect(profiles: tuple[np.ndarray, np.ndarray], radius: int) -> bool:
+    if radius < 0:
+        raise NegativeRadiusError("radius must be nonnegative")
+    d1, d2 = profiles
+    return bool((d1 <= radius).all() and (d2 > radius).all())
+
+
 def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
-    """Full report: distances, Singleton data, packing radius, perfection."""
-    params = singleton_params(code)
-    rho = packing_radius(code, budget)
+    """Full report: distances, Singleton data, packing radius, perfection.
+
+    The minimum distances `d_w` and `d_H` and the distance profiles behind
+    the packing radius and perfection are each computed once.
+    """
+    d = min_distance(code)
+    params = _singleton_params(code, d)
+    profiles = _distance_profiles(code, budget)
+    rho = _packing_radius(profiles)
     return CodeReport(
         size=code.size,
-        min_distance=min_distance(code),
+        min_distance=d,
         hamming_min_distance=hamming_min_distance(code),
         ideal_size=params.ideal_size,
         ideal_dimension=params.ideal_dimension,
         singleton_bound=params.bound,
         is_mds=params.is_mds,
         packing_radius=rho,
-        is_perfect=is_r_perfect(code, rho, budget),
+        is_perfect=_is_r_perfect(profiles, rho),
     )
 
 
@@ -291,8 +370,9 @@ def mds_iff_perfect_check(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> Md
     d = min_distance(code)
     d_h = hamming_min_distance(code)
     applicable = d == ctx.min_nonzero_weight + (d_h - 1) * ctx.max_weight
-    mds = singleton_params(code).is_mds
-    perfect = is_r_perfect(code, packing_radius(code, budget), budget)
+    mds = _singleton_params(code, d).is_mds
+    profiles = _distance_profiles(code, budget)
+    perfect = _is_r_perfect(profiles, _packing_radius(profiles))
     consistent = (mds == perfect) if applicable else True
     return MdsPerfectCheck(applicable, mds, perfect, consistent)
 

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .poset import Labeling, Permutation, Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from .tables import digit_table, rank_powers, weight_table
+from .tables import _distinct_rows, digit_table, rank_powers, weight_table
 
 DEFAULT_MATRIX_BUDGET = 1 << 24
 _CHUNK = 1 << 18  # entries of the largest rank array one batched step builds
@@ -177,18 +177,22 @@ def _bijective(image_ranks: np.ndarray) -> np.ndarray:
 
 def from_automorphism(phi: Permutation, ctx: SpaceContext) -> BlockMatrix:
     """Block permutation matrix sending block i identically onto block phi(i)."""
-    if not ctx.poset.is_labeled_automorphism(phi, ctx.labeling):
-        raise NotLabeledAutomorphismError(
-            f"{phi.image} is not a block-size-preserving poset automorphism"
-        )
-    n = ctx.n
-    rows = [[0] * n for _ in range(n)]
-    for i in ctx.poset.elements:
-        src = ctx.offsets[i - 1]
-        dst = ctx.offsets[phi(i) - 1]
-        for l in range(ctx.labeling.k[i - 1]):
-            rows[dst + l][src + l] = 1
-    return BlockMatrix(ctx, tuple(tuple(r) for r in rows))
+    return _block_matrices(ctx, _lifts(ctx, [phi]))[0]
+
+
+def _lifts(ctx: SpaceContext, automorphisms: Sequence[Permutation]) -> np.ndarray:
+    """(A, n, n) stack of the block permutation matrices of `automorphisms`,
+    each checked once to be a labeled automorphism."""
+    for phi in automorphisms:
+        if not ctx.poset.is_labeled_automorphism(phi, ctx.labeling):
+            raise NotLabeledAutomorphismError(
+                f"{phi.image} is not a block-size-preserving poset automorphism"
+            )
+    images = np.asarray([phi.image for phi in automorphisms]).reshape(-1, ctx.s) - 1
+    starts = np.asarray(ctx.offsets[:-1])
+    # coordinate c of block i goes to the same place in block phi(i), of equal size
+    shifts = np.repeat(starts[images] - starts, ctx.labeling.k, axis=1)
+    return np.eye(ctx.n, dtype=np.int64)[shifts + np.arange(ctx.n)].transpose(0, 2, 1)
 
 
 def in_triangular_group(T: BlockMatrix) -> bool:
@@ -229,18 +233,6 @@ def _triangular_mask(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
 def _block_space(ctx: SpaceContext, k: int) -> SpaceContext:
     """The one-block space Z_m^k with the alphabet and weight of `ctx`."""
     return SpaceContext(Poset.chain(1), Labeling((k,)), ctx.alphabet, ctx.weight_fn)
-
-
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For an integer (N, w) array: the index of one row per distinct row, and
-    for each row the position of its distinct row among those."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
 
 
 # -- factorization -------------------------------------------------------------
@@ -505,8 +497,7 @@ def verify_semidirect(
     mats = _isometries(ctx, budget, matrix_budget, exhaustive)
     u_order = triangular_group_order(ctx, matrix_budget, exhaustive)
     automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
-    lifts = np.asarray([from_automorphism(phi, ctx).rows for phi in automorphisms])
-    index, _, member, exact, unique = _factor(ctx, mats, automorphisms, lifts)
+    index, _, member, exact, unique = _factor(ctx, mats, automorphisms, _lifts(ctx, automorphisms))
     return GroupReport(
         gl_order=len(mats),
         u_order=u_order,

@@ -1,4 +1,5 @@
-"""Vectorized whole-space tables used by code analytics and verification.
+"""Vectorized whole-space tables and profile weights used by code analytics
+and verification.
 
 All tables index vectors by their lexicographic rank: coordinate tuples
 are read as base-m digits, most significant first, matching the order of
@@ -77,25 +78,49 @@ def weight_table(ctx: SpaceContext, budget: int = DEFAULT_VECTOR_BUDGET) -> np.n
 
 @lru_cache(maxsize=32)
 def _weight_table(ctx: SpaceContext) -> np.ndarray:
-    digits = _digit_table(ctx)
-    supports = support_mask_table(ctx, digits)
-    block_max = block_max_table(ctx, digits)
-
-    nmasks = 1 << ctx.s
-    maximal = np.zeros(nmasks, dtype=np.int64)
-    below_count = np.zeros(nmasks, dtype=np.int64)
-    for mask in range(nmasks):
-        ideal = ctx.poset.ideal_mask(mask)
-        mx = ctx.poset.maximal_mask(ideal)
-        maximal[mask] = mx
-        below_count[mask] = ideal.bit_count() - mx.bit_count()
-
-    mx_of = maximal[supports]
-    weights = ctx.max_weight * below_count[supports]
-    for i in range(ctx.s):
-        weights += block_max[:, i] * (mx_of >> i & 1)
+    weights = profile_weights(ctx, block_max_table(ctx, _digit_table(ctx)))
     weights.flags.writeable = False
     return weights
+
+
+def profile_weights(ctx: SpaceContext, profiles: np.ndarray) -> np.ndarray:
+    """(N,) array: the weight of each row of the (N, s) block-max profiles.
+
+    A profile's support is the set of its nonzero entries.  The weight is
+    `max_weight` for each non-maximal element of the support's down-closure
+    plus the profile's entries on its maximal elements, as in
+    `SpaceContext.weight_of_profile`.  Supports are keyed by their packed
+    bits, so the result is exact for every s, and the closure of each
+    distinct support that occurs is computed once.
+    """
+    poset = ctx.poset
+    supports = np.packbits(profiles > 0, axis=1, bitorder="little")
+    first, inverse = _distinct_rows(supports)
+    width = supports.shape[1]
+    keys = supports[first].tobytes()
+    below = []
+    tops = bytearray(len(keys))
+    for at in range(0, len(keys), width):
+        ideal = poset.ideal_mask(int.from_bytes(keys[at : at + width], "little"))
+        top = poset.maximal_mask(ideal)
+        below.append(ideal.bit_count() - top.bit_count())
+        tops[at : at + width] = top.to_bytes(width, "little")
+    maximal = np.frombuffer(tops, dtype=np.uint8).reshape(-1, width)
+    maximal = np.unpackbits(maximal, axis=1, count=ctx.s, bitorder="little")
+    below = np.asarray(below, dtype=np.int64)
+    return ctx.max_weight * below[inverse] + np.einsum("ij,ij->i", profiles, maximal[inverse])
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an integer (N, w) array: the index of one row per distinct row, and
+    for each row the position of its distinct row among those."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def difference_rank_table(

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .space import DEFAULT_VECTOR_BUDGET, SpaceContext
-from .tables import digit_table, rank_powers, weight_table
+from .tables import digit_table, profile_weights, rank_powers, weight_table
 
 _PAIR_CHUNK = 1 << 18  # profile pairs checked per step of `check_weight_axioms`
 
@@ -77,7 +77,9 @@ def _achievable_block_weights(table: tuple[int, ...]) -> tuple[int, ...]:
 def check_weight_axioms(ctx: SpaceContext) -> AxiomCheck:
     """Exhaustive-equivalent verification of the three weight axioms.
 
-    The triangle check covers all |values|^(2s) profile pairs, in steps of
+    The |values|^s achievable profiles are weighed at once by
+    `profile_weights`, and positivity is one comparison over them.  The
+    triangle check covers all |values|^(2s) profile pairs, in steps of
     rows that share a head profile, each step at most about `_PAIR_CHUNK`
     pairs, so its memory is bounded; its time still grows as |values|^(2s),
     with no budget on s.  A violation's witness is realized from the first
@@ -111,14 +113,14 @@ def check_weight_axioms(ctx: SpaceContext) -> AxiomCheck:
     nv = len(values)
     s = ctx.s
 
-    profiles = list(product(values, repeat=s))
-    weights = np.array([ctx.weight_of_profile(p) for p in profiles], dtype=np.int64)
+    # every achievable profile, in product order
+    profiles = np.asarray(values)[np.indices((nv,) * s).reshape(s, -1).T]
+    weights = profile_weights(ctx, profiles)
 
     # positivity of the vector weight over every achievable profile
-    for p, w in zip(profiles, weights):
-        nonzero = any(p)
-        if (w > 0) != nonzero:
-            return AxiomCheck.failed("zero", (_vector_with_profile(ctx, p),))
+    bad = np.nonzero((weights > 0) != profiles.any(axis=1))[0]
+    if len(bad):
+        return AxiomCheck.failed("zero", (_vector_with_profile(ctx, profiles[bad[0]]),))
 
     # triangle inequality over all profile pairs, using the per-block
     # worst-case sum profile (realizable because blocks are independent)

@@ -8,7 +8,7 @@ equality over fully enumerated domains or fixed seeded samples.
 import json
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import factorial
 
 import numpy as np
@@ -314,6 +314,25 @@ def test_criterion_5_singleton_mds_perfect_suite():
     if applicable_seen == 0:
         violations.append(("no applicable linear code found",))
     report(5, "singleton/MDS/perfect suite", violations)
+
+
+def test_min_distances_match_pairwise_on_fixture_bundles():
+    rng = random.Random(71)
+    # every 7th bundle: the stride is prime to the 8 (alphabet, weight) pairs per labeling
+    for ctx in islice(fixture_bundles(), 0, None, 7):
+        hamming = ctx.hamming()
+        generator = ctx.vector_at(rng.randrange(1, ctx.size)).coords
+        for code in (
+            random_code(ctx, rng.randint(2, min(5, ctx.size)), rng),
+            Code.from_generator(ctx, [generator]),
+        ):
+            words = code.codewords
+            d_w = min(u.distance(v) for u, v in combinations(words, 2))
+            as_hamming = [hamming.vector(v.coords) for v in words]
+            d_h = min(u.distance(v) for u, v in combinations(as_hamming, 2))
+            assert (min_distance(code), hamming_min_distance(code)) == (d_w, d_h), (
+                ctx.poset.covers(), ctx.labeling.k, ctx.weight_fn.table, code.coords_list()
+            )
 
 
 _FIXTURE_CODE_CACHE: dict = {}

@@ -180,7 +180,7 @@ except SystemExit as exit:
 @pytest.mark.parametrize(
     "command,extra",
     [("isometry-group", ("--list",)), ("isometry-group", ("--exhaustive",)),
-     ("decompose", ("--matrix", "matrix.json"))],
+     ("decompose", ("--matrix", "matrix.json")), ("code-report", ("--code", "code.json"))],
 )
 def test_group_commands_do_not_import_numpy_ma(bundle, command, extra):
     # numpy.ma costs each CLI process an import of over 10 ms

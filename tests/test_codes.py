@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from posetblock import (
     Alphabet,
     ArityError,
+    BudgetError,
     Code,
     LabelError,
     NotChainError,
@@ -32,6 +34,8 @@ from posetblock import (
     space_context,
     zero_tail_map,
 )
+from posetblock import codes
+from posetblock.tables import weight_table
 
 
 def repetition_code(ctx):
@@ -72,6 +76,59 @@ def test_linear_certificate_verified(chain2_m2):
         Code.from_words(chain2_m2, [(1, 1)], linear=True)
 
 
+def linear_closure_error(code):
+    """The closure loop that `Code.from_words(linear=True)` replaces: the
+    message of the first failure, or None when the code is linear."""
+    ctx = code.context
+    members = {v.coords for v in code.codewords}
+    if ctx.zero().coords not in members:
+        return "linear code must contain the zero vector"
+    for u in code.codewords:
+        for c in range(2, ctx.m):
+            if u.scale(c).coords not in members:
+                return f"not closed under scaling: {c} * {u.coords}"
+        for v in code.codewords:
+            if (u + v).coords not in members:
+                return f"not closed under addition: {u.coords} + {v.coords}"
+    return None
+
+
+@pytest.mark.parametrize("chunk", [codes._CHUNK, 7])
+def test_linear_closure_matches_loop_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(codes, "_CHUNK", chunk)
+    rng = random.Random(29)
+    spaces = [
+        space_context(Poset.chain(3), (1, 1, 1), 2),
+        space_context(Poset.antichain(2), (1, 2), 4),
+        space_context(Poset.chain(2), (1, 1), 6),
+    ]
+    kinds = set()
+    for ctx in spaces:
+        for _ in range(80):
+            gens = [ctx.vector_at(rng.randrange(ctx.size)).coords for _ in range(2)]
+            words = Code.from_generator(ctx, gens).coords_list()
+            choice = rng.randrange(3)
+            if choice == 0:
+                words = [ctx.vector_at(r).coords for r in rng.sample(range(ctx.size), 5)]
+            elif choice == 1 and len(words) > 1:
+                words.remove(rng.choice(words[1:]))
+            elif choice == 2:
+                words.append(ctx.vector_at(rng.randrange(ctx.size)).coords)
+            expected = linear_closure_error(Code.from_words(ctx, words))
+            kinds.add(expected and expected.split(":")[0])
+            if expected is None:
+                assert Code.from_words(ctx, words, linear=True).linear
+            else:
+                with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+                    Code.from_words(ctx, words, linear=True)
+    assert kinds == {
+        None,
+        "linear code must contain the zero vector",
+        "not closed under scaling",
+        "not closed under addition",
+    }
+
+
 def test_from_generator_spans(antichain2_m3):
     code = Code.from_generator(antichain2_m3, [(1, 2)])
     assert code.coords_list() == [(0, 0), (1, 2), (2, 1)]
@@ -97,6 +154,88 @@ def test_min_distance_linear_shortcut_matches_pairwise():
             continue
         pairwise = min(u.distance(v) for u, v in combinations(code.codewords, 2))
         assert min_distance(code) == pairwise
+
+
+def pairwise_distances(code):
+    """(d_w, d_H) by `BlockVector.distance` over every pair of codewords."""
+    hamming = code.context.hamming()
+    as_hamming = [hamming.vector(v.coords) for v in code.codewords]
+    return (
+        min(u.distance(v) for u, v in combinations(code.codewords, 2)),
+        min(u.distance(v) for u, v in combinations(as_hamming, 2)),
+    )
+
+
+@pytest.mark.parametrize("chunk", [codes._CHUNK, 5])
+def test_min_distances_match_pairwise_on_random_codes(monkeypatch, chunk):
+    monkeypatch.setattr(codes, "_CHUNK", chunk)
+    rng = random.Random(13)
+    vee = Poset.from_covers(3, [(1, 3), (2, 3)])
+    spaces = [
+        space_context(Poset.chain(3), (1, 2, 1), 3, lee_weight(Alphabet(3))),
+        space_context(vee, (1, 1, 2), 4, lee_weight(Alphabet(4))),
+        space_context(Poset.antichain(3), (2, 1, 1), 5, lee_weight(Alphabet(5))),
+    ]
+    for ctx in spaces:
+        for _ in range(15):
+            rows = rng.randint(1, 2)
+            gens = [ctx.vector_at(rng.randrange(1, ctx.size)).coords for _ in range(rows)]
+            for code in (random_code(ctx, rng.randint(2, 12), rng), Code.from_generator(ctx, gens)):
+                assert (min_distance(code), hamming_min_distance(code)) == pairwise_distances(code)
+
+
+@pytest.mark.parametrize("poset", [Poset.antichain(70), Poset.chain(70)])
+def test_min_distance_exact_beyond_64_blocks(poset):
+    ctx = space_context(poset, (1,) * 70, 2)
+    e1, e70 = (1,) + (0,) * 69, (0,) * 69 + (1,)
+    code = Code.from_words(ctx, [(0,) * 70, e1, e70])
+    assert min_distance(code) == hamming_min_distance(code) == 1
+    assert (1, 1) == pairwise_distances(code)
+    # closure is checked on exact ranks beyond 2^63 vectors
+    with pytest.raises(ValidationError, match=re.escape(f"addition: {e70} + {e1}")):
+        Code.from_words(ctx, code.coords_list(), linear=True)
+    both = tuple(a + b for a, b in zip(e1, e70))
+    linear = Code.from_words(ctx, code.coords_list() + [both], linear=True)
+    assert (min_distance(linear), hamming_min_distance(linear)) == pairwise_distances(linear)
+
+
+def test_min_distances_need_no_whole_space_table():
+    ctx = space_context(Poset.chain(3), (3, 3, 3), 5, lee_weight(Alphabet(5)))
+    with pytest.raises(BudgetError):
+        weight_table(ctx)
+    rng = random.Random(5)
+    for _ in range(3):
+        gens = [ctx.vector_at(rng.randrange(1, ctx.size)).coords for _ in range(2)]
+        for code in (random_code(ctx, 10, rng), Code.from_generator(ctx, gens)):
+            assert (min_distance(code), hamming_min_distance(code)) == pairwise_distances(code)
+
+
+def test_analytics_compute_each_quantity_once(monkeypatch, chain2_m2):
+    scans = []
+    scan = codes.two_smallest_code_distances
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(codes, "two_smallest_code_distances", counted_scan)
+    code = repetition_code(chain2_m2)
+    analyze(code)
+    assert len(scans) == 1
+    scans.clear()
+    mds_iff_perfect_check(code)
+    assert len(scans) == 1
+
+    built = []
+    init = Code.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Code, "__init__", counted_init)
+    assert hamming_min_distance(code) == 2
+    assert built == []
 
 
 def test_min_distance_too_small(chain2_m2):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from posetblock import (
     space_context,
 )
 from posetblock.space import supports_union
-from posetblock.tables import weight_table
+from posetblock.tables import profile_weights, weight_table
 
 
 def sample_contexts():
@@ -216,6 +218,14 @@ def test_profile_weight_agrees_with_vector_weight():
     for ctx in sample_contexts():
         for v in ctx.vectors():
             assert ctx.weight_of_profile(v.profile()) == v.weight()
+
+
+def test_profile_weights_match_weight_of_profile():
+    for ctx in sample_contexts():
+        values = sorted(set(ctx.weight_fn.table))
+        profiles = list(product(values, repeat=ctx.s))
+        expected = [ctx.weight_of_profile(p) for p in profiles]
+        assert profile_weights(ctx, np.array(profiles)).tolist() == expected
 
 
 def test_metric_axioms_by_sampling_on_large_space():
