@@ -405,14 +405,13 @@ def random_code(ctx: SpaceContext, size: int, rng: random.Random) -> Code:
     return Code.from_words(ctx, [ctx.vector_at(r).coords for r in ranks])
 
 
-def enumerate_linear_codes(ctx: SpaceContext, max_generators: int | None = None) -> Iterator[Code]:
+def enumerate_linear_codes(ctx: SpaceContext) -> Iterator[Code]:
     """Every span of at most n vectors (all submodules at desk scale)."""
     if ctx.size > 64:
         raise BudgetError("linear-code enumeration is meant for tiny spaces")
-    limit = ctx.n if max_generators is None else max_generators
     nonzero = [v for v in ctx.vectors() if not v.is_zero]
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for count in range(limit + 1):
+    for count in range(ctx.n + 1):
         for gens in combinations(nonzero, count):
             code = Code.from_generator(ctx, [g.coords for g in gens])
             key = tuple(code.coords_list())

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .poset import Labeling, Permutation, Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from .tables import _distinct_rows, digit_table, rank_powers, weight_table
+from .tables import _order_matrix, digit_table, ideals, rank_powers, weight_table
 
 DEFAULT_MATRIX_BUDGET = 1 << 24
 _CHUNK = 1 << 18  # entries of the largest rank array one batched step builds
@@ -208,14 +208,13 @@ def in_triangular_group(T: BlockMatrix) -> bool:
 def _triangular_mask(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
     """Per matrix of the (G, n, n) stack: whether it is in the triangular group.
 
-    The shape is one mask against the poset's down-sets.  The diagonal blocks
+    The shape is one mask from the poset's order matrix.  The diagonal blocks
     of the matrices of that shape are deduplicated by their row ranks and
     tested as isometries of the one-block space, one batch per block size.
     """
     k = ctx.labeling.k
     block_of = np.repeat(np.arange(ctx.s), k)
-    down = np.asarray(ctx.poset.down, dtype=np.int64)
-    allowed = (down[block_of][None, :] >> block_of[:, None] & 1).astype(bool)
+    allowed = _order_matrix(ctx.poset)[block_of, block_of[:, None]] > 0
     ok = ~(mats.astype(bool) & ~allowed).any(axis=(1, 2))
     for size in sorted(set(k)):
         shaped = np.nonzero(ok)[0]
@@ -248,14 +247,13 @@ def induced_automorphism(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) ->
     if not is_isometry(T, budget):
         raise NotIsometryError("map does not preserve the weight")
     ctx = T.context
-    supports, generators = _block_maps(ctx, np.asarray([T.rows]))
+    maximal, generators = _block_maps(ctx, np.asarray([T.rows]))
     image = generators[0].tolist()
-    for i, (support, generator) in enumerate(zip(supports[0].tolist(), image), start=1):
+    for i, generator in enumerate(image, start=1):
         if not generator:
-            maximal = ctx.poset.maximal_mask(ctx.poset.ideal_mask(support))
             raise NonPrincipalError(
                 f"support ideal of the image of block {i} has maximal set "
-                f"{sorted(e + 1 for e in range(ctx.s) if maximal >> e & 1)}"
+                f"{(np.flatnonzero(maximal[0, i - 1]) + 1).tolist()}"
             )
     try:
         return Permutation(tuple(image))
@@ -264,19 +262,27 @@ def induced_automorphism(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) ->
 
 
 def _block_maps(ctx: SpaceContext, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of the (G, n, n) stack and block i, as (G, s) arrays: the
-    block support (0-based bitmask) of the image of block i's first basis
-    vector, and the 1-based generator of its ideal, 0 where not principal."""
-    poset = ctx.poset
+    """Per matrix of the (G, n, n) stack and block i: the maximal elements of the
+    ideal that the block support of the image of block i's first basis vector
+    generates, as row i of a (G, s, s) boolean array, and the 1-based generator
+    of that ideal, as a (G, s) array, 0 where it is not principal."""
     starts = np.asarray(ctx.offsets[:-1])
+    # nonzero[g, r, i]: whether row block r of that image is nonzero
     nonzero = np.logical_or.reduceat(mats[:, :, starts] != 0, starts, axis=1)
-    supports = (nonzero.astype(np.int64) << np.arange(ctx.s)[:, None]).sum(axis=1)
-    # a table of generators over the supports that occur, each looked up once
-    first, inverse = _distinct_rows(supports.reshape(-1, 1))
-    masks = supports.reshape(-1)[first].tolist()
-    maximal = [poset.maximal_mask(poset.ideal_mask(mask)) for mask in masks]
-    table = np.asarray([mx.bit_length() if mx.bit_count() == 1 else 0 for mx in maximal])
-    return supports, table[inverse].reshape(supports.shape)
+    _, maximal = ideals(ctx.poset, nonzero.transpose(0, 2, 1))
+    return maximal, np.where(maximal.sum(axis=2) == 1, maximal.argmax(axis=2) + 1, 0)
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an integer (N, w) array: the index of one row per distinct row, and
+    for each row the position of its distinct row among those."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def decompose(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> IsometryDecomposition:
@@ -457,12 +463,8 @@ def triangular_group_order(
         k: len(_isometries(_block_space(ctx, k), DEFAULT_VECTOR_BUDGET, matrix_budget, exhaustive))
         for k in set(ctx.labeling.k)
     }
-    free = sum(
-        ctx.labeling.k[i - 1] * ctx.labeling.k[j - 1]
-        for i in ctx.poset.elements
-        for j in ctx.poset.elements
-        if i != j and ctx.poset.leq(i, j)
-    )
+    sizes = np.asarray(ctx.labeling.k)
+    free = int(sizes @ _order_matrix(ctx.poset) @ sizes - sizes @ sizes)
     return prod(diag_counts[k] for k in ctx.labeling.k) * ctx.m**free
 
 

@@ -1,5 +1,5 @@
-"""Vectorized whole-space tables and profile weights used by code analytics
-and verification.
+"""Vectorized whole-space tables, profile weights and poset ideals used by
+code analytics, verification and the isometry layer.
 
 All tables index vectors by their lexicographic rank: coordinate tuples
 are read as base-m digits, most significant first, matching the order of
@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
+from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, SpaceContext
 
 
@@ -49,15 +50,6 @@ def rank_powers(ctx: SpaceContext) -> np.ndarray:
     return powers
 
 
-def support_mask_table(ctx: SpaceContext, digits: np.ndarray) -> np.ndarray:
-    """(size,) array of 0-based block-support bitmasks."""
-    masks = np.zeros(len(digits), dtype=np.int64)
-    for i in range(1, ctx.s + 1):
-        nonzero = digits[:, ctx.block_slice(i)].any(axis=1)
-        masks |= nonzero.astype(np.int64) << (i - 1)
-    return masks
-
-
 def block_max_table(ctx: SpaceContext, digits: np.ndarray) -> np.ndarray:
     """(size, s) array of block-max scalar weights."""
     scalar = np.asarray(ctx.weight_fn.table, dtype=np.int64)[digits]
@@ -89,38 +81,34 @@ def profile_weights(ctx: SpaceContext, profiles: np.ndarray) -> np.ndarray:
     A profile's support is the set of its nonzero entries.  The weight is
     `max_weight` for each non-maximal element of the support's down-closure
     plus the profile's entries on its maximal elements, as in
-    `SpaceContext.weight_of_profile`.  Supports are keyed by their packed
-    bits, so the result is exact for every s, and the closure of each
-    distinct support that occurs is computed once.
+    `SpaceContext.weight_of_profile`; `ideals` gives both sets for all rows.
     """
-    poset = ctx.poset
-    supports = np.packbits(profiles > 0, axis=1, bitorder="little")
-    first, inverse = _distinct_rows(supports)
-    width = supports.shape[1]
-    keys = supports[first].tobytes()
-    below = []
-    tops = bytearray(len(keys))
-    for at in range(0, len(keys), width):
-        ideal = poset.ideal_mask(int.from_bytes(keys[at : at + width], "little"))
-        top = poset.maximal_mask(ideal)
-        below.append(ideal.bit_count() - top.bit_count())
-        tops[at : at + width] = top.to_bytes(width, "little")
-    maximal = np.frombuffer(tops, dtype=np.uint8).reshape(-1, width)
-    maximal = np.unpackbits(maximal, axis=1, count=ctx.s, bitorder="little")
-    below = np.asarray(below, dtype=np.int64)
-    return ctx.max_weight * below[inverse] + np.einsum("ij,ij->i", profiles, maximal[inverse])
+    ideal, maximal = ideals(ctx.poset, profiles > 0)
+    covered = (ideal & ~maximal).sum(axis=1)
+    return ctx.max_weight * covered + np.einsum("ij,ij->i", profiles, maximal)
 
 
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For an integer (N, w) array: the index of one row per distinct row, and
-    for each row the position of its distinct row among those."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+def ideals(poset: Poset, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The down-closure of each boolean (..., s) support and its maximal elements,
+    as two boolean arrays of the same shape.
+
+    With the order matrix B, B[j, i] = 1 when i <= j, (x @ B)[i] counts the
+    members of x at or above i: the closure is where that count is positive,
+    and an element of the closure is maximal where it counts only itself.  The
+    counts are at most s, so float32 products are exact.
+    """
+    below = _order_matrix(poset)
+    ideal = supports.reshape(-1, poset.s).astype(np.float32) @ below > 0
+    maximal = ideal.astype(np.float32) @ below == 1
+    return ideal.reshape(supports.shape), maximal.reshape(supports.shape)
+
+
+@lru_cache(maxsize=32)
+def _order_matrix(poset: Poset) -> np.ndarray:
+    """(s, s) float32 array, read-only: row j marks the elements below j."""
+    below = np.array([[down >> i & 1 for i in range(poset.s)] for down in poset.down], np.float32)
+    below.flags.writeable = False
+    return below
 
 
 def difference_rank_table(

@@ -109,6 +109,16 @@ def test_in_triangular_group_examples(chain2_m2):
     assert not in_triangular_group(BlockMatrix.from_rows(chain2_m2, [(1, 0), (1, 1)]))
 
 
+@pytest.mark.parametrize("poset, upper_ok", [(Poset.chain(70), True), (Poset.antichain(70), False)])
+def test_in_triangular_group_beyond_64_blocks(poset, upper_ok):
+    # block 1 is below block 70 in the chain only
+    ctx = space_context(poset, (1,) * 70, 2)
+    assert in_triangular_group(BlockMatrix.identity(ctx))
+    rows = [list(row) for row in BlockMatrix.identity(ctx).rows]
+    rows[0][69] = 1
+    assert in_triangular_group(BlockMatrix.from_rows(ctx, rows)) == upper_ok
+
+
 def test_triangular_members_are_isometries(chain2_m2, vee_m2, antichain2_m3):
     for ctx in (chain2_m2, vee_m2, antichain2_m3):
         members = [T for T in all_matrices(ctx) if in_triangular_group(T)]

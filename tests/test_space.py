@@ -12,13 +12,14 @@ from posetblock import (
     Poset,
     SizeMismatchError,
     ValidationError,
+    all_posets,
     ball,
     is_r_perfect,
     lee_weight,
     space_context,
 )
 from posetblock.space import supports_union
-from posetblock.tables import profile_weights, weight_table
+from posetblock.tables import ideals, profile_weights, weight_table
 
 
 def sample_contexts():
@@ -226,6 +227,33 @@ def test_profile_weights_match_weight_of_profile():
         profiles = list(product(values, repeat=ctx.s))
         expected = [ctx.weight_of_profile(p) for p in profiles]
         assert profile_weights(ctx, np.array(profiles)).tolist() == expected
+    # random profiles of every density on 70 blocks, past any 64-bit mask
+    rng = np.random.default_rng(70)
+    lee5 = lee_weight(Alphabet(5))
+    for poset in (Poset.chain(70), Poset.antichain(70)):
+        ctx = space_context(poset, (1,) * 70, 5, lee5)
+        profiles = rng.integers(0, 3, (200, 70)) * (rng.random((200, 70)) < rng.random((200, 1)))
+        expected = [ctx.weight_of_profile(p) for p in profiles.tolist()]
+        assert profile_weights(ctx, profiles).tolist() == expected
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_ideals_match_poset_masks(s):
+    subsets = np.array(list(product((False, True), repeat=s)))
+    masks = [sum(1 << e for e in range(s) if row[e]) for row in subsets.tolist()]
+    # a (G, s, s) stack holding every subset in every slot
+    stack = (np.arange(len(subsets))[:, None] + np.arange(s)) % len(subsets)
+    for poset in all_posets(s):
+        closures = [poset.ideal_mask(mask) for mask in masks]
+        expected = np.array(
+            [[[mask >> e & 1 for e in range(s)] for mask in closures],
+             [[poset.maximal_mask(mask) >> e & 1 for e in range(s)] for mask in closures]],
+            dtype=bool,
+        )
+        for supports, want in ((subsets, expected), (subsets[stack], expected[:, stack])):
+            ideal, maximal = ideals(poset, supports)
+            assert ideal.dtype == maximal.dtype == bool
+            assert (np.array([ideal, maximal]) == want).all()
 
 
 def test_metric_axioms_by_sampling_on_large_space():
