@@ -122,26 +122,3 @@ def has_min_weight_unit(alphabet: Alphabet, weight: WeightFunction) -> bool:
     target = weight.min_nonzero_weight
     return any(weight(a) == target for a in alphabet.units())
 
-
-def det_mod(rows: list[tuple[int, ...]] | tuple[tuple[int, ...], ...], m: int) -> int:
-    """Determinant of a small square matrix modulo m, by cofactor expansion."""
-    size = len(rows)
-    if size == 0:
-        return 1 % m
-    if size == 1:
-        return rows[0][0] % m
-    total = 0
-    for col in range(size):
-        if rows[0][col] == 0:
-            continue
-        minor = [
-            tuple(v for c, v in enumerate(row) if c != col) for row in rows[1:]
-        ]
-        sign = 1 if col % 2 == 0 else -1
-        total += sign * rows[0][col] * det_mod(minor, m)
-    return total % m
-
-
-def is_invertible_mod(rows, m: int) -> bool:
-    """True when the matrix is invertible over Z_m (determinant a unit)."""
-    return gcd(det_mod(rows, m), m) == 1

@@ -1,4 +1,7 @@
-"""Command-line front end: JSON documents in, one JSON report out."""
+"""Command-line front end: JSON documents in, one JSON report out.
+
+Only the handlers that need them import the numpy layers `codes` and `isometry`.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +12,9 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from . import codes, isometry, jsonio
+from . import jsonio
 from .errors import BudgetError, ParseError, PosetBlockError, ValidationError
-from .isometry import DEFAULT_MATRIX_BUDGET
-from .space import DEFAULT_VECTOR_BUDGET, SpaceContext, ball
+from .space import DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, SpaceContext, ball
 
 @dataclass
 class RunConfig:
@@ -231,6 +233,7 @@ def _cmd_ball(config: RunConfig) -> dict:
 
 
 def _cmd_code_report(config: RunConfig) -> dict:
+    from . import codes
     ctx = _context(config)
     _require(config, "code")
     code = jsonio.code_from_doc(_load(config, "code", config.code), ctx, config.budget)
@@ -250,6 +253,7 @@ def _cmd_code_report(config: RunConfig) -> dict:
 
 
 def _cmd_perfect_construct(config: RunConfig) -> dict:
+    from . import codes
     ctx = _context(config)
     if config.map is not None:
         t, table = jsonio.tail_map_from_doc(_load(config, "map", config.map))
@@ -279,6 +283,7 @@ def _cmd_perfect_construct(config: RunConfig) -> dict:
 
 
 def _cmd_isometry_check(config: RunConfig) -> dict:
+    from . import isometry
     ctx = _context(config)
     _require(config, "matrix")
     T = jsonio.matrix_from_doc(_load(config, "matrix", config.matrix), ctx)
@@ -289,6 +294,7 @@ def _cmd_isometry_check(config: RunConfig) -> dict:
 
 
 def _cmd_isometry_group(config: RunConfig) -> dict:
+    from . import isometry
     ctx = _context(config)
     report = isometry.verify_semidirect(
         ctx,
@@ -309,6 +315,7 @@ def _cmd_isometry_group(config: RunConfig) -> dict:
 
 
 def _cmd_decompose(config: RunConfig) -> dict:
+    from . import isometry
     ctx = _context(config)
     _require(config, "matrix")
     T = jsonio.matrix_from_doc(_load(config, "matrix", config.matrix), ctx)
@@ -359,6 +366,7 @@ def _cmd_validate(config: RunConfig) -> dict:
         attempt("code", lambda doc: jsonio.code_from_doc(doc, ctx, config.budget))
         attempt("matrix", lambda doc: jsonio.matrix_from_doc(doc, ctx))
         if config.map is not None:
+            from . import codes
             try:
                 t, table = jsonio.tail_map_from_doc(_load(config, "map", config.map))
                 codes.perfect_code_from_function(ctx, t, table)

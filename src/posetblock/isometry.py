@@ -35,10 +35,9 @@ from .errors import (
     SizeMismatchError,
 )
 from .poset import Labeling, Permutation, Poset
-from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
+from .space import DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
 from .tables import _order_matrix, digit_table, ideals, rank_powers, weight_table
 
-DEFAULT_MATRIX_BUDGET = 1 << 24
 _CHUNK = 1 << 18  # entries of the largest rank array one batched step builds
 
 

@@ -1,16 +1,19 @@
-"""Loaders for the JSON document formats used by the CLI."""
+"""Loaders for the JSON document formats used by the CLI; only codes and matrices need numpy."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .algebra import Alphabet, WeightFunction, custom_weight, hamming_weight, lee_weight
-from .codes import Code
 from .errors import ParseError, ValidationError
-from .isometry import BlockMatrix
 from .poset import Labeling, Poset
 from .space import BlockVector, SpaceContext
+
+if TYPE_CHECKING:
+    from .codes import Code
+    from .isometry import BlockMatrix
 
 
 def read_document(path: str | Path) -> tuple[dict, str]:
@@ -95,6 +98,7 @@ def vector_from_doc(doc: dict, ctx: SpaceContext) -> BlockVector:
 
 
 def code_from_doc(doc: dict, ctx: SpaceContext, budget: int) -> Code:
+    from .codes import Code
     if "generator" in doc:
         rows = _int_rows(doc["generator"], "generator row")
         return Code.from_generator(ctx, rows, budget=budget)
@@ -106,6 +110,7 @@ def code_from_doc(doc: dict, ctx: SpaceContext, budget: int) -> Code:
 
 
 def matrix_from_doc(doc: dict, ctx: SpaceContext) -> BlockMatrix:
+    from .isometry import BlockMatrix
     if "rows" not in doc or not isinstance(doc["rows"], list):
         raise ParseError("matrix document misses key 'rows'")
     rows = [_int_list(r, "matrix row") for r in doc["rows"]]

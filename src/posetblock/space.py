@@ -27,7 +27,9 @@ from .errors import (
 )
 from .poset import Labeling, Poset
 
+# default caps on the vectors enumerated and on the candidate images the isometry search tests
 DEFAULT_VECTOR_BUDGET = 1 << 20
+DEFAULT_MATRIX_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -237,11 +239,6 @@ def ball(center: BlockVector, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) 
     if ctx.size > budget:
         raise BudgetError(f"ball enumeration over {ctx.size} vectors, budget {budget}")
     return [v for v in ctx.vectors(budget=None) if (v - center).weight() <= radius]
-
-
-def supports_union(u: BlockVector, v: BlockVector) -> bool:
-    """Subadditivity witness: supp(u + v) is contained in supp(u) | supp(v)."""
-    return (u + v).support() <= u.support() | v.support()
 
 
 def space_context(

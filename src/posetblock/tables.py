@@ -16,6 +16,8 @@ from .errors import BudgetError
 from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, SpaceContext
 
+_ROWS = 1 << 16  # vectors per step of a weight table build
+
 
 def check_vector_budget(ctx: SpaceContext, budget: int = DEFAULT_VECTOR_BUDGET) -> None:
     if ctx.size > budget:
@@ -34,11 +36,10 @@ def digit_table(ctx: SpaceContext, budget: int = DEFAULT_VECTOR_BUDGET) -> np.nd
 @lru_cache(maxsize=32)
 def _digit_table(ctx: SpaceContext) -> np.ndarray:
     ranks = np.arange(ctx.size, dtype=np.int64)
-    cols = []
-    for pos in range(ctx.n):
-        shift = ctx.m ** (ctx.n - 1 - pos)
-        cols.append(ranks // shift % ctx.m)
-    table = np.stack(cols, axis=1).astype(np.int32)
+    table = np.empty((ctx.size, ctx.n), dtype=np.int32)
+    for pos in range(ctx.n - 1, -1, -1):
+        table[:, pos] = ranks % ctx.m
+        ranks //= ctx.m
     table.flags.writeable = False
     return table
 
@@ -51,11 +52,15 @@ def rank_powers(ctx: SpaceContext) -> np.ndarray:
 
 
 def block_max_table(ctx: SpaceContext, digits: np.ndarray) -> np.ndarray:
-    """(size, s) array of block-max scalar weights."""
-    scalar = np.asarray(ctx.weight_fn.table, dtype=np.int64)[digits]
-    out = np.empty((len(digits), ctx.s), dtype=np.int64)
-    for i in range(1, ctx.s + 1):
-        out[:, i - 1] = scalar[:, ctx.block_slice(i)].max(axis=1)
+    """(len(digits), s) array of block-max scalar weights, in the smallest
+    unsigned type that holds `max_weight`."""
+    scalar = np.asarray(ctx.weight_fn.table, dtype=np.min_scalar_type(ctx.max_weight))[digits]
+    out = np.empty((len(digits), ctx.s), dtype=scalar.dtype)
+    for i in range(ctx.s):
+        block_max = out[:, i]
+        block_max[:] = scalar[:, ctx.offsets[i]]
+        for c in range(ctx.offsets[i] + 1, ctx.offsets[i + 1]):
+            np.maximum(block_max, scalar[:, c], out=block_max)
     return out
 
 
@@ -70,7 +75,11 @@ def weight_table(ctx: SpaceContext, budget: int = DEFAULT_VECTOR_BUDGET) -> np.n
 
 @lru_cache(maxsize=32)
 def _weight_table(ctx: SpaceContext) -> np.ndarray:
-    weights = profile_weights(ctx, block_max_table(ctx, _digit_table(ctx)))
+    digits = _digit_table(ctx)
+    weights = np.empty(ctx.size, dtype=np.int64)
+    for start in range(0, ctx.size, _ROWS):
+        rows = digits[start:start + _ROWS]
+        weights[start:start + _ROWS] = profile_weights(ctx, block_max_table(ctx, rows))
     weights.flags.writeable = False
     return weights
 
@@ -85,7 +94,8 @@ def profile_weights(ctx: SpaceContext, profiles: np.ndarray) -> np.ndarray:
     """
     ideal, maximal = ideals(ctx.poset, profiles > 0)
     covered = (ideal & ~maximal).sum(axis=1)
-    return ctx.max_weight * covered + np.einsum("ij,ij->i", profiles, maximal)
+    sums = np.einsum("ij,ij->i", profiles, maximal, dtype=np.int64, casting="same_kind")
+    return ctx.max_weight * covered + sums
 
 
 def ideals(poset: Poset, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +125,9 @@ def difference_rank_table(
     ctx: SpaceContext, center_coords: tuple[int, ...], digits: np.ndarray
 ) -> np.ndarray:
     """(size,) array: rank of (v - center) for every vector rank v."""
-    c = np.asarray(center_coords, dtype=np.int32)
-    diff = (digits - c) % ctx.m
-    return diff.astype(np.int64) @ rank_powers(ctx)
+    diff = digits - np.asarray(center_coords, dtype=np.int32)
+    diff %= ctx.m
+    return diff @ rank_powers(ctx)
 
 
 def distance_table(
@@ -143,7 +153,6 @@ def two_smallest_code_distances(
     d2 = np.full(size, limit, dtype=np.int64)
     for coords in codeword_coords:
         d = distance_table(ctx, coords, weights, digits)
-        closer = d < d1
-        d2 = np.where(closer, d1, np.minimum(d2, d))
-        d1 = np.where(closer, d, d1)
+        np.minimum(d2, np.maximum(d1, d), out=d2)
+        np.minimum(d1, d, out=d1)
     return d1, d2

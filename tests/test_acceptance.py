@@ -42,7 +42,6 @@ from posetblock import (
     space_context,
     verify_semidirect,
 )
-from posetblock.algebra import is_invertible_mod
 from posetblock.cli import main
 from posetblock.tables import (
     block_max_table,
@@ -50,6 +49,8 @@ from posetblock.tables import (
     digit_table,
     weight_table,
 )
+
+from oracles import is_invertible_mod
 
 MAX_EXHAUSTIVE_SIZE = 4096
 ALPHABETS = (2, 3, 4, 5)

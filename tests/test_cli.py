@@ -167,14 +167,34 @@ def test_decompose_payload(capsys, bundle):
     assert payload["recomposition_exact"]
 
 
-# runs the CLI as `python -m posetblock` does, then reports whether numpy.ma was imported
+# runs the CLI as `python -m posetblock` does, then reports on stderr its exit
+# status and which of numpy, numpy.ma and the posetblock modules it imported
 _MODULES_PROBE = """
-import runpy, sys
+import json, runpy, sys
 try:
     runpy.run_module("posetblock", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
-    sys.stderr.write(f"{exit.code} {'numpy.ma' in sys.modules}")
+    sys.stderr.write(json.dumps({
+        "status": exit.code,
+        "numpy": "numpy" in sys.modules,
+        "numpy.ma": "numpy.ma" in sys.modules,
+        "modules": sorted(m.split(".")[1] for m in sys.modules if m.startswith("posetblock.")),
+    }))
 """
+
+
+def probe_modules(bundle, command, *extra, space=True):
+    """Run one CLI command in a fresh interpreter: (stdout report, module report)."""
+    args = [str(bundle / arg) if arg.endswith(".json") else arg for arg in extra]
+    roles = ("poset", "labeling", "alphabet", "weight") if space else ()
+    argv = [command] + [
+        arg for role in roles for arg in (f"--{role}", str(bundle / f"{role}.json"))
+    ] + args
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    return json.loads(done.stdout), json.loads(done.stderr)
 
 
 @pytest.mark.parametrize(
@@ -184,17 +204,94 @@ except SystemExit as exit:
 )
 def test_group_commands_do_not_import_numpy_ma(bundle, command, extra):
     # numpy.ma costs each CLI process an import of over 10 ms
-    args = [str(bundle / arg) if arg.endswith(".json") else arg for arg in extra]
-    argv = [command] + [
-        arg for role in ("poset", "labeling", "alphabet", "weight")
-        for arg in (f"--{role}", str(bundle / f"{role}.json"))
-    ] + args
+    report, loaded = probe_modules(bundle, command, *extra)
+    assert report["command"] == command
+    assert loaded["status"] == 0 and loaded["numpy"] and not loaded["numpy.ma"]
+
+
+@pytest.mark.parametrize(
+    "command,extra,space,status",
+    [
+        ("poset-info", ("--poset", "poset.json", "--labeling", "labeling.json"), False, 0),
+        ("weigh", ("--vector", "vector.json"), True, 0),
+        ("distance", ("--vector", "vector.json", "--vector2", "vector2.json"), True, 0),
+        ("ball", ("--center", "zero.json", "--radius", "1"), True, 0),
+        ("ball", ("--center", "zero.json", "--radius", "1", "--list"), True, 0),
+        ("validate", ("--vector", "vector.json", "--vector2", "vector2.json"), True, 0),
+        ("poset-info", ("--poset", "cyclic.json"), False, 1),
+        ("poset-info", ("--poset", "empty.json"), False, 1),
+        ("ball", ("--center", "zero.json", "--radius", "1", "--budget", "1"), True, 2),
+        ("ball", ("--center", "zero.json", "--radius", "-1"), True, 1),
+        ("weigh", (), True, 1),
+    ],
+    ids=["poset-info", "weigh", "distance", "ball", "ball-list", "validate", "cyclic-poset",
+         "empty-poset", "ball-budget", "ball-negative-radius", "usage-error"],
+)
+def test_pure_python_commands_do_not_import_numpy(bundle, command, extra, space, status):
+    (bundle / "cyclic.json").write_text(json.dumps({"s": 2, "covers": [[1, 2], [2, 1]]}))
+    (bundle / "empty.json").write_text(json.dumps({"s": 0}))
+    report, loaded = probe_modules(bundle, command, *extra, space=space)
+    assert loaded["status"] == status
+    assert report.get("command", command) == command
+    assert not loaded["numpy"]
+    assert not {"codes", "isometry", "tables", "verify"} & set(loaded["modules"])
+
+
+def test_code_and_group_commands_load_only_their_layer(bundle):
+    _, loaded = probe_modules(bundle, "code-report", "--code", "code.json")
+    assert "codes" in loaded["modules"] and "isometry" not in loaded["modules"]
+    _, loaded = probe_modules(bundle, "isometry-group")
+    assert "isometry" in loaded["modules"] and "codes" not in loaded["modules"]
+
+
+# the names `posetblock/__init__` imported eagerly before it loaded codes,
+# isometry and verify on demand
+PACKAGE_EXPORTS = {
+    "Alphabet", "WeightFunction", "custom_weight", "hamming_weight", "lee_weight",
+    "Code", "CodeReport", "MdsPerfectCheck", "SingletonParams", "analyze",
+    "enumerate_linear_codes", "finer_mds_check", "hamming_min_distance", "identity_tail_map",
+    "is_r_perfect", "mds_iff_perfect_check", "min_distance", "packing_radius",
+    "perfect_code_from_function", "random_code", "random_tail_map", "reconstruct_tail_map",
+    "singleton_params", "zero_tail_map",
+    "ArityError", "AxiomError", "BudgetError", "ContextMismatchError", "CycleError",
+    "DecompositionError", "InvalidValueError", "LabelError", "NegativeRadiusError",
+    "NonPrincipalError", "NotChainError", "NotFinerError", "NotIsometryError",
+    "NotLabeledAutomorphismError", "OutOfRangeError", "ParseError", "PosetBlockError",
+    "SizeMismatchError", "TooSmallError", "ValidationError",
+    "BlockMatrix", "GroupReport", "IsometryDecomposition", "decompose",
+    "enumerate_isometry_group", "from_automorphism", "in_triangular_group",
+    "induced_automorphism", "is_isometry", "triangular_group_order", "verify_semidirect",
+    "Labeling", "Permutation", "Poset", "all_posets",
+    "BlockVector", "SpaceContext", "ball", "space_context",
+    "AxiomCheck", "check_weight_axioms", "check_weight_axioms_bruteforce",
+}
+
+
+def test_package_import_is_lazy_and_complete():
+    probe = """
+import json, sys
+import posetblock
+numpy_loaded = "numpy" in sys.modules
+space = {}
+exec("from posetblock import *", space)
+print(json.dumps({"numpy": numpy_loaded, "dir": dir(posetblock), "star": sorted(space)}))
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
-        [sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert json.loads(done.stdout)["command"] == command
-    assert done.stderr == "0 False"
+    report = json.loads(done.stdout)
+    assert not report["numpy"]
+    assert PACKAGE_EXPORTS <= set(report["dir"])
+    assert PACKAGE_EXPORTS <= set(report["star"])
+    import posetblock
+
+    for name in sorted(PACKAGE_EXPORTS):
+        exec(f"from posetblock import {name}", {})
+    with pytest.raises(AttributeError):
+        posetblock.no_such_name
+    with pytest.raises(ImportError):
+        exec("from posetblock import no_such_name", {})
 
 
 def test_validate_clean_bundle(capsys, bundle):

@@ -31,8 +31,9 @@ from posetblock import (
     verify_semidirect,
 )
 from posetblock import isometry
-from posetblock.algebra import is_invertible_mod
 from posetblock.space import DEFAULT_VECTOR_BUDGET
+
+from oracles import is_invertible_mod
 
 
 def all_matrices(ctx):

@@ -14,17 +14,21 @@ from posetblock import (
     ValidationError,
     all_posets,
     ball,
+    custom_weight,
     is_r_perfect,
     lee_weight,
     space_context,
 )
-from posetblock.space import supports_union
-from posetblock.tables import ideals, profile_weights, weight_table
+from posetblock.tables import block_max_table, digit_table, ideals, profile_weights, weight_table
+
+from oracles import supports_union
 
 
 def sample_contexts():
     lee5 = lee_weight(Alphabet(5))
     lee4 = lee_weight(Alphabet(4))
+    # block maxima fit one byte, while weights reach 3 * 200 = 600
+    wide = custom_weight(Alphabet(5), [100 * w for w in lee5.table])
     return [
         space_context(Poset.chain(2), (1, 1), 2),
         space_context(Poset.chain(3), (1, 2, 1), 2),
@@ -32,6 +36,7 @@ def sample_contexts():
         space_context(Poset.from_covers(3, [(1, 3), (2, 3)]), (2, 1, 1), 2),
         space_context(Poset.chain(2), (2, 1), 4, lee4),
         space_context(Poset.from_covers(3, [(1, 2)]), (1, 1, 1), 5, lee5),
+        space_context(Poset.antichain(3), (1, 2, 1), 5, wide),
     ]
 
 
@@ -213,6 +218,17 @@ def test_weight_table_matches_per_vector():
         table = weight_table(ctx)
         expected = np.array([v.weight() for v in ctx.vectors()])
         assert (table == expected).all()
+
+
+def test_weight_table_in_steps_matches_one_step():
+    ctx = space_context(Poset.from_covers(3, [(1, 3), (2, 3)]), (4, 4, 3), 3)
+    assert ctx.size > 2 * (1 << 16)
+    digits = digit_table(ctx)
+    table = weight_table(ctx)
+    assert (table == profile_weights(ctx, block_max_table(ctx, digits))).all()
+    for rank in range(0, ctx.size, 997):
+        v = ctx.vector_at(rank)
+        assert tuple(digits[rank]) == v.coords and table[rank] == v.weight()
 
 
 def test_profile_weight_agrees_with_vector_weight():
