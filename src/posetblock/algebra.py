@@ -8,6 +8,10 @@ from math import gcd
 
 from .errors import AxiomError, InvalidValueError, SizeMismatchError
 
+# Largest scalar weight `custom_weight` accepts: it keeps s * max_weight and
+# every excess of the triangle check far inside int64.
+MAX_SCALAR_WEIGHT = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -84,13 +88,16 @@ def lee_weight(alphabet: Alphabet) -> WeightFunction:
 def custom_weight(alphabet: Alphabet, table: list[int] | tuple[int, ...]) -> WeightFunction:
     """Validate the three weight axioms on `table` and wrap it.
 
-    Raises AxiomError naming the violated axiom and a witness element or pair.
+    Raises AxiomError naming the violated axiom and a witness element or pair,
+    and InvalidValueError for a value above MAX_SCALAR_WEIGHT.
     """
     values = tuple(int(v) for v in table)
     if len(values) != alphabet.m:
         raise SizeMismatchError(
             f"weight table length {len(values)} does not match modulus {alphabet.m}"
         )
+    if max(values) > MAX_SCALAR_WEIGHT:
+        raise InvalidValueError(f"weight value {max(values)} exceeds {MAX_SCALAR_WEIGHT}")
     validate_weight_axioms(alphabet, values)
     return WeightFunction(values)
 

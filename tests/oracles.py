@@ -1,6 +1,16 @@
 """Slow reference helpers that only the tests call."""
 
+from itertools import product
 from math import gcd
+
+import numpy as np
+
+from posetblock.verify import (
+    AxiomCheck,
+    _block_sum_extremes,
+    _triangle_witness,
+    _vector_with_profile,
+)
 
 
 def det_mod(rows, m: int) -> int:
@@ -30,3 +40,62 @@ def is_invertible_mod(rows, m: int) -> bool:
 def supports_union(u, v) -> bool:
     """Subadditivity witness: supp(u + v) is contained in supp(u) | supp(v)."""
     return (u + v).support() <= u.support() | v.support()
+
+
+def check_weight_axioms_whole_array(ctx):
+    """Oracle for `check_weight_axioms`: the profile check with all profile
+    pairs in one array.
+
+    Every one of the |values|^s profiles is weighed by
+    `SpaceContext.weight_of_profile`, positivity is checked on each, and the
+    triangle inequality on one |values|^s x |values|^s array of worst sum
+    profiles; a violation's witness is realized from the first maximum of
+    the excess in row-major order.
+    """
+    table = ctx.weight_fn.table
+    m = ctx.m
+    if table[0] != 0:
+        return AxiomCheck.failed("zero", (ctx.zero().coords,))
+    for a in range(1, m):
+        if table[a] <= 0:
+            block = min(
+                i for i in ctx.poset.elements
+                if ctx.poset.principal_ideal(i)[1] == frozenset()
+            )
+            coords = [0] * ctx.n
+            coords[ctx.offsets[block - 1]] = a
+            return AxiomCheck.failed("zero", (tuple(coords),))
+    for a in range(1, m):
+        if table[a] != table[m - a]:
+            coords = [0] * ctx.n
+            coords[0] = a
+            return AxiomCheck.failed("symmetry", (tuple(coords),))
+
+    values = tuple(sorted(set(table)))
+    val_index = {v: i for i, v in enumerate(values)}
+    nv = len(values)
+    s = ctx.s
+    profiles = list(product(values, repeat=s))
+    weights = np.array([ctx.weight_of_profile(p) for p in profiles], dtype=np.int64)
+    for p, w in zip(profiles, weights):
+        if (w > 0) != any(p):
+            return AxiomCheck.failed("zero", (_vector_with_profile(ctx, p),))
+
+    cmax_by_k = {}
+    for k in set(ctx.labeling.k):
+        cmax, _ = _block_sum_extremes(m, table, k)
+        grid = np.zeros((nv, nv), dtype=np.int64)
+        for (a, b), c in cmax.items():
+            grid[val_index[a], val_index[b]] = val_index[c]
+        cmax_by_k[k] = grid
+    idx = np.array([[val_index[v] for v in p] for p in profiles], dtype=np.int64)
+    radix = nv ** np.arange(s - 1, -1, -1, dtype=np.int64)
+    sum_code = np.zeros((len(profiles), len(profiles)), dtype=np.int64)
+    for i in range(s):
+        grid = cmax_by_k[ctx.labeling.k[i]]
+        sum_code += grid[idx[:, i][:, None], idx[:, i][None, :]] * radix[i]
+    excess = weights[sum_code] - (weights[:, None] + weights[None, :])
+    if (excess > 0).any():
+        ia, ib = np.unravel_index(int(excess.argmax()), excess.shape)
+        return AxiomCheck.failed("triangle", _triangle_witness(ctx, profiles[ia], profiles[ib]))
+    return AxiomCheck.passed()

@@ -3,13 +3,14 @@ import pytest
 from posetblock import (
     Alphabet,
     AxiomError,
+    InvalidValueError,
     SizeMismatchError,
     ValidationError,
     custom_weight,
     hamming_weight,
     lee_weight,
 )
-from posetblock.algebra import has_min_weight_unit
+from posetblock.algebra import MAX_SCALAR_WEIGHT, has_min_weight_unit
 
 from oracles import det_mod, is_invertible_mod
 
@@ -129,3 +130,10 @@ def test_is_invertible_mod_matches_permanence():
     # over Z_4 determinant 2 is nonzero yet not a unit
     assert not is_invertible_mod(((2, 0), (0, 1)), 4)
     assert is_invertible_mod(((3, 0), (0, 1)), 4)
+
+
+def test_custom_weight_bounds_its_values():
+    top = MAX_SCALAR_WEIGHT
+    assert custom_weight(Alphabet(3), [0, top, top]).max_weight == top
+    with pytest.raises(InvalidValueError, match="exceeds"):
+        custom_weight(Alphabet(3), [0, top + 1, top + 1])

@@ -13,6 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -182,3 +183,24 @@ def test_any_invocation_prints_one_json_object(invocation):
         assert payload["command"] == argv[0]
     else:
         assert payload["code"] in ({"budget"} if status == 2 else {"parse", "validation"})
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, 2**64])
+def test_oversized_weight_value_is_a_validation_error(tmp_path, value):
+    documents = {
+        "poset": {"s": 2, "covers": [[1, 2]]},
+        "labeling": {"k": [1, 1]},
+        "alphabet": {"m": 3},
+        "weight": {"table": [0, value, value]},
+        "code": {"codewords": [[0, 0], [1, 1]]},
+    }
+    argv = ["code-report"]
+    for name, doc in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status == 1 and err.getvalue() == ""
+    payload = json.loads(out.getvalue())  # one object: a second would not parse
+    assert payload["code"] == "validation"

@@ -1,16 +1,10 @@
 import random
-from itertools import product
 
-import numpy as np
 import pytest
 
+from oracles import check_weight_axioms_whole_array
 from posetblock import verify
-from posetblock.verify import (
-    AxiomCheck,
-    _block_sum_extremes,
-    _triangle_witness,
-    _vector_with_profile,
-)
+from posetblock.tables import ideals
 from posetblock import (
     Alphabet,
     Labeling,
@@ -135,62 +129,6 @@ def test_metric_axioms_follow_from_weight_axioms():
                 assert u.distance(v) <= u.distance(w) + w.distance(v)
 
 
-def _check_weight_axioms_whole_array(ctx):
-    """Oracle: the profile check with all profile pairs in one array.
-
-    The route `check_weight_axioms` took before it checked the pairs in
-    bounded steps: one |values|^s x |values|^s sum-code array, then the
-    first maximum of the excess in row-major order.
-    """
-    table = ctx.weight_fn.table
-    m = ctx.m
-    if table[0] != 0:
-        return AxiomCheck.failed("zero", (ctx.zero().coords,))
-    for a in range(1, m):
-        if table[a] <= 0:
-            block = min(
-                i for i in ctx.poset.elements
-                if ctx.poset.principal_ideal(i)[1] == frozenset()
-            )
-            coords = [0] * ctx.n
-            coords[ctx.offsets[block - 1]] = a
-            return AxiomCheck.failed("zero", (tuple(coords),))
-    for a in range(1, m):
-        if table[a] != table[m - a]:
-            coords = [0] * ctx.n
-            coords[0] = a
-            return AxiomCheck.failed("symmetry", (tuple(coords),))
-
-    values = tuple(sorted(set(table)))
-    val_index = {v: i for i, v in enumerate(values)}
-    nv = len(values)
-    s = ctx.s
-    profiles = list(product(values, repeat=s))
-    weights = np.array([ctx.weight_of_profile(p) for p in profiles], dtype=np.int64)
-    for p, w in zip(profiles, weights):
-        if (w > 0) != any(p):
-            return AxiomCheck.failed("zero", (_vector_with_profile(ctx, p),))
-
-    cmax_by_k = {}
-    for k in set(ctx.labeling.k):
-        cmax, _ = _block_sum_extremes(m, table, k)
-        grid = np.zeros((nv, nv), dtype=np.int64)
-        for (a, b), c in cmax.items():
-            grid[val_index[a], val_index[b]] = val_index[c]
-        cmax_by_k[k] = grid
-    idx = np.array([[val_index[v] for v in p] for p in profiles], dtype=np.int64)
-    radix = nv ** np.arange(s - 1, -1, -1, dtype=np.int64)
-    sum_code = np.zeros((len(profiles), len(profiles)), dtype=np.int64)
-    for i in range(s):
-        grid = cmax_by_k[ctx.labeling.k[i]]
-        sum_code += grid[idx[:, i][:, None], idx[:, i][None, :]] * radix[i]
-    excess = weights[sum_code] - (weights[:, None] + weights[None, :])
-    if (excess > 0).any():
-        ia, ib = np.unravel_index(int(excess.argmax()), excess.shape)
-        return AxiomCheck.failed("triangle", _triangle_witness(ctx, profiles[ia], profiles[ib]))
-    return AxiomCheck.passed()
-
-
 TREE5 = Poset.from_covers(5, [(1, 2), (1, 3), (3, 4)])
 TRIANGLE_VIOLATIONS = [
     (Poset.antichain(3), (2, 1, 1), (0, 3, 5, 1, 5, 3)),
@@ -209,17 +147,52 @@ TRIANGLE_VIOLATIONS = [
 ]
 
 
-@pytest.mark.parametrize("pair_chunk", [None, 1, 64])
-def test_stepwise_triangle_check_matches_whole_array_oracle(monkeypatch, pair_chunk):
-    # the witness is the first maximum over all pairs in row-major order, for
-    # every split of the blocks into head and tail (1: one row per step)
-    if pair_chunk is not None:
-        monkeypatch.setattr(verify, "_PAIR_CHUNK", pair_chunk)
+@pytest.mark.parametrize("step", [None, 1, 64])
+def test_stepwise_triangle_check_matches_whole_array_oracle(monkeypatch, step):
+    # the witness is the first maximum over all pairs in row-major order,
+    # however the class combinations are split into steps (1: one per step)
+    if step is not None:
+        monkeypatch.setattr(verify, "_STEP", step)
     for poset, k, table in TRIANGLE_VIOLATIONS:
         ctx = make_context(poset, k, len(table), table)
-        oracle = _check_weight_axioms_whole_array(ctx)
+        oracle = check_weight_axioms_whole_array(ctx)
         assert oracle.axiom == "triangle"
         assert check_weight_axioms(ctx) == oracle, (poset, k, table)
     for ctx in valid_contexts():
-        assert check_weight_axioms(ctx) == _check_weight_axioms_whole_array(ctx)
+        assert check_weight_axioms(ctx) == check_weight_axioms_whole_array(ctx)
         assert check_weight_axioms(ctx).ok
+
+
+def test_random_spaces_match_whole_array_oracle():
+    # every poset with s <= 4, blocks of 1 or 2 coordinates, m <= 7 and
+    # symmetric tables that need not satisfy the triangle inequality
+    rng = random.Random(12)
+    violations = 0
+    for poset in [p for s in (1, 2, 3, 4) for p in all_posets(s)]:
+        for _ in range(3):
+            m = rng.randint(2, 7)
+            k = tuple(rng.randint(1, 2) for _ in range(poset.s))
+            ctx = make_context(poset, k, m, random_symmetric_table(rng, m))
+            oracle = check_weight_axioms_whole_array(ctx)
+            assert check_weight_axioms(ctx) == oracle, (poset.covers(), k, ctx.weight_fn.table)
+            if ctx.size <= 512:
+                assert check_weight_axioms_bruteforce(ctx).ok == oracle.ok
+            violations += not oracle.ok
+    assert violations > 50
+
+
+def test_triangle_check_weighs_supports_not_profile_pairs(monkeypatch):
+    # s = 6 tree over Z_7 with 4 distinct values: 4^6 class combinations at
+    # most, against 4^12 profile pairs
+    poset = Poset.from_covers(6, [(1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
+    ctx = make_context(poset, (1,) * 6, 7, (0, 2, 3, 1, 1, 3, 2))
+    rows = []
+
+    def recording(poset, supports):
+        rows.append(supports.size // poset.s)
+        return ideals(poset, supports)
+
+    monkeypatch.setattr(verify, "ideals", recording)
+    assert check_weight_axioms(ctx).ok
+    assert rows and sum(rows) <= 3 * 4**6 + 2**6
+    assert max(rows) <= 4**7  # far from the 4^12 profile pairs
