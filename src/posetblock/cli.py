@@ -10,34 +10,10 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import jsonio
 from .errors import BudgetError, ParseError, PosetBlockError, ValidationError
 from .space import DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, SpaceContext, ball
-
-@dataclass
-class RunConfig:
-    command: str
-    poset: str | None = None
-    labeling: str | None = None
-    alphabet: str | None = None
-    weight: str | None = None
-    vector: str | None = None
-    vector2: str | None = None
-    code: str | None = None
-    matrix: str | None = None
-    map: str | None = None
-    radius: int | None = None
-    t: int | None = None
-    generate: str | None = None
-    budget: int = DEFAULT_VECTOR_BUDGET
-    matrix_budget: int = DEFAULT_MATRIX_BUDGET
-    seed: int = 0
-    pretty: bool = False
-    list_elements: bool = False
-    exhaustive: bool = False
-    raw_documents: dict[str, str] = field(default_factory=dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,16 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    config = RunConfig(command=ns.command)
-    for key, value in vars(ns).items():
-        if key != "command" and hasattr(config, key):
-            setattr(config, key, value)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line; `raw_documents` collects each loaded file's text by role."""
+    config = build_parser().parse_args(argv)
+    config.raw_documents = {}
     return config
 
 
-def _load(config: RunConfig, role: str, path: str | None) -> dict | None:
+def _load(config: argparse.Namespace, role: str, path: str | None) -> dict | None:
     if path is None:
         return None
     doc, raw = jsonio.read_document(path)
@@ -114,20 +88,20 @@ def _load(config: RunConfig, role: str, path: str | None) -> dict | None:
     return doc
 
 
-def _inputs_digest(config: RunConfig) -> str:
+def _inputs_digest(config: argparse.Namespace) -> str:
     blob = "\x00".join(
         f"{role}\x1f{raw}" for role, raw in sorted(config.raw_documents.items())
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _require(config: RunConfig, *roles: str) -> None:
+def _require(config: argparse.Namespace, *roles: str) -> None:
     missing = [r for r in roles if getattr(config, r) is None]
     if missing:
         raise ValidationError(f"command '{config.command}' needs --{', --'.join(missing)}")
 
 
-def _context(config: RunConfig) -> SpaceContext:
+def _context(config: argparse.Namespace) -> SpaceContext:
     _require(config, "poset", "labeling", "alphabet", "weight")
     poset = jsonio.poset_from_doc(_load(config, "poset", config.poset))
     labeling = jsonio.labeling_from_doc(_load(config, "labeling", config.labeling))
@@ -136,7 +110,7 @@ def _context(config: RunConfig) -> SpaceContext:
     return SpaceContext(poset, labeling, alphabet, weight)
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one command and print the JSON report; returns the exit status."""
     try:
         payload = _dispatch(config)
@@ -166,7 +140,7 @@ def _emit(payload: dict, pretty: bool = False) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _dispatch(config: RunConfig) -> dict:
+def _dispatch(config: argparse.Namespace) -> dict:
     for flag, value in (("--budget", config.budget), ("--matrix-budget", config.matrix_budget)):
         if value < 0:
             raise ValidationError(f"{flag} must be nonnegative, got {value}")
@@ -185,7 +159,7 @@ def _dispatch(config: RunConfig) -> dict:
     return handler(config)
 
 
-def _cmd_poset_info(config: RunConfig) -> dict:
+def _cmd_poset_info(config: argparse.Namespace) -> dict:
     _require(config, "poset")
     poset = jsonio.poset_from_doc(_load(config, "poset", config.poset))
     payload = {
@@ -202,7 +176,7 @@ def _cmd_poset_info(config: RunConfig) -> dict:
     return payload
 
 
-def _cmd_weigh(config: RunConfig) -> dict:
+def _cmd_weigh(config: argparse.Namespace) -> dict:
     ctx = _context(config)
     u = jsonio.vector_from_doc(_load(config, "vector", config.vector), ctx)
     support = u.support()
@@ -215,14 +189,14 @@ def _cmd_weigh(config: RunConfig) -> dict:
     }
 
 
-def _cmd_distance(config: RunConfig) -> dict:
+def _cmd_distance(config: argparse.Namespace) -> dict:
     ctx = _context(config)
     u = jsonio.vector_from_doc(_load(config, "vector", config.vector), ctx)
     v = jsonio.vector_from_doc(_load(config, "vector2", config.vector2), ctx)
     return {"distance": u.distance(v)}
 
 
-def _cmd_ball(config: RunConfig) -> dict:
+def _cmd_ball(config: argparse.Namespace) -> dict:
     ctx = _context(config)
     center = jsonio.vector_from_doc(_load(config, "vector", config.vector), ctx)
     members = ball(center, config.radius, budget=config.budget)
@@ -232,7 +206,7 @@ def _cmd_ball(config: RunConfig) -> dict:
     return payload
 
 
-def _cmd_code_report(config: RunConfig) -> dict:
+def _cmd_code_report(config: argparse.Namespace) -> dict:
     from . import codes
     ctx = _context(config)
     _require(config, "code")
@@ -252,7 +226,7 @@ def _cmd_code_report(config: RunConfig) -> dict:
     }
 
 
-def _cmd_perfect_construct(config: RunConfig) -> dict:
+def _cmd_perfect_construct(config: argparse.Namespace) -> dict:
     from . import codes
     ctx = _context(config)
     if config.map is not None:
@@ -282,7 +256,7 @@ def _cmd_perfect_construct(config: RunConfig) -> dict:
     return payload
 
 
-def _cmd_isometry_check(config: RunConfig) -> dict:
+def _cmd_isometry_check(config: argparse.Namespace) -> dict:
     from . import isometry
     ctx = _context(config)
     _require(config, "matrix")
@@ -293,7 +267,7 @@ def _cmd_isometry_check(config: RunConfig) -> dict:
     }
 
 
-def _cmd_isometry_group(config: RunConfig) -> dict:
+def _cmd_isometry_group(config: argparse.Namespace) -> dict:
     from . import isometry
     ctx = _context(config)
     report = isometry.verify_semidirect(
@@ -314,7 +288,7 @@ def _cmd_isometry_group(config: RunConfig) -> dict:
     return payload
 
 
-def _cmd_decompose(config: RunConfig) -> dict:
+def _cmd_decompose(config: argparse.Namespace) -> dict:
     from . import isometry
     ctx = _context(config)
     _require(config, "matrix")
@@ -327,7 +301,7 @@ def _cmd_decompose(config: RunConfig) -> dict:
     }
 
 
-def _cmd_validate(config: RunConfig) -> dict:
+def _cmd_validate(config: argparse.Namespace) -> dict:
     diagnostics: list[dict] = []
 
     def note(code: str, message: str) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .tables import (
 
 _CHUNK = 1 << 18  # coordinates of the largest vector array one step of a code scan builds
 
-TailMap = Mapping[tuple[int, ...], tuple[int, ...]] | Callable[[tuple[int, ...]], tuple[int, ...]]
+TailMap = Mapping[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -303,11 +303,10 @@ def perfect_code_from_function(ctx: SpaceContext, t: int, tail_map: TailMap) -> 
     """
     _require_natural_chain(ctx)
     head_n = ctx.n - tail_length(ctx, t)
-    lookup = tail_map if callable(tail_map) else tail_map.__getitem__
     words = []
     for tail in product(range(ctx.m), repeat=ctx.n - head_n):
         try:
-            head = tuple(int(c) for c in lookup(tail))
+            head = tuple(int(c) for c in tail_map[tail])
         except KeyError:
             raise ArityError(f"function table misses tail {tail}") from None
         if len(head) != head_n:
@@ -367,14 +366,12 @@ def mds_iff_perfect_check(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> Md
     ctx = code.context
     if not ctx.poset.is_chain:
         raise NotChainError("MDS/perfect equivalence is a chain-poset statement")
-    d = min_distance(code)
-    d_h = hamming_min_distance(code)
-    applicable = d == ctx.min_nonzero_weight + (d_h - 1) * ctx.max_weight
-    mds = _singleton_params(code, d).is_mds
-    profiles = _distance_profiles(code, budget)
-    perfect = _is_r_perfect(profiles, _packing_radius(profiles))
-    consistent = (mds == perfect) if applicable else True
-    return MdsPerfectCheck(applicable, mds, perfect, consistent)
+    report = analyze(code, budget)
+    applicable = report.min_distance == (
+        ctx.min_nonzero_weight + (report.hamming_min_distance - 1) * ctx.max_weight
+    )
+    consistent = (report.is_mds == report.is_perfect) if applicable else True
+    return MdsPerfectCheck(applicable, report.is_mds, report.is_perfect, consistent)
 
 
 def finer_mds_check(code: Code, finer: Poset) -> bool:

@@ -252,18 +252,14 @@ class Poset:
 
     # -- automorphisms ----------------------------------------------------
 
-    def automorphisms(
-        self,
-        labeling: Labeling | None = None,
-        size_cap: int = AUTOMORPHISM_SIZE_CAP,
-    ) -> list[Permutation]:
+    def automorphisms(self, labeling: Labeling | None = None) -> list[Permutation]:
         """All order automorphisms, optionally restricted to block-size-preserving ones.
 
         Plain backtracking over images with down/up-set size pruning;
-        refuses ground sets larger than `size_cap`.
+        refuses ground sets larger than `AUTOMORPHISM_SIZE_CAP`.
         """
-        if self.s > size_cap:
-            raise BudgetError(f"automorphism search capped at s={size_cap}")
+        if self.s > AUTOMORPHISM_SIZE_CAP:
+            raise BudgetError(f"automorphism search capped at s={AUTOMORPHISM_SIZE_CAP}")
         if labeling is not None and labeling.s != self.s:
             raise SizeMismatchError("labeling length differs from poset size")
         s = self.s
@@ -301,11 +297,9 @@ class Poset:
         backtrack(0)
         return sorted(found, key=lambda p: p.image)
 
-    def labeled_automorphisms(
-        self, labeling: Labeling, size_cap: int = AUTOMORPHISM_SIZE_CAP
-    ) -> list[Permutation]:
+    def labeled_automorphisms(self, labeling: Labeling) -> list[Permutation]:
         """The subgroup of automorphisms phi with k_{phi(i)} = k_i for all i."""
-        return self.automorphisms(labeling=labeling, size_cap=size_cap)
+        return self.automorphisms(labeling=labeling)
 
     def is_labeled_automorphism(self, phi: Permutation, labeling: Labeling) -> bool:
         if phi.degree != self.s or labeling.s != self.s:

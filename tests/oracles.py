@@ -1,16 +1,13 @@
 """Slow reference helpers that only the tests call."""
 
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
 import numpy as np
 
-from posetblock.verify import (
-    AxiomCheck,
-    _block_sum_extremes,
-    _triangle_witness,
-    _vector_with_profile,
-)
+from posetblock.space import SpaceContext
+from posetblock.verify import AxiomCheck
 
 
 def det_mod(rows, m: int) -> int:
@@ -99,3 +96,49 @@ def check_weight_axioms_whole_array(ctx):
         ia, ib = np.unravel_index(int(excess.argmax()), excess.shape)
         return AxiomCheck.failed("triangle", _triangle_witness(ctx, profiles[ia], profiles[ib]))
     return AxiomCheck.passed()
+
+
+@lru_cache(maxsize=None)
+def _block_sum_extremes(m: int, table: tuple[int, ...], k: int):
+    """Per (block-max of x, block-max of y): the largest block-max of x + y.
+
+    Returns (cmax, witness) dicts keyed by weight pairs; witness holds a
+    realizing pair of k-coordinate blocks.
+    """
+    blocks = list(product(range(m), repeat=k))
+    weight_of = {b: max(table[c] for c in b) for b in blocks}
+    cmax: dict[tuple[int, int], int] = {}
+    witness: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for x in blocks:
+        for y in blocks:
+            key = (weight_of[x], weight_of[y])
+            c = weight_of[tuple((a + b) % m for a, b in zip(x, y))]
+            if key not in cmax or c > cmax[key]:
+                cmax[key] = c
+                witness[key] = (x, y)
+    return cmax, witness
+
+
+def _vector_with_profile(ctx: SpaceContext, profile: tuple[int, ...]) -> tuple[int, ...]:
+    """Some vector whose block-max weights equal `profile`."""
+    table = ctx.weight_fn.table
+    coords: list[int] = []
+    for i, target in enumerate(profile):
+        k = ctx.labeling.k[i]
+        lead = 0 if target == 0 else table.index(target)
+        coords.extend([lead] + [0] * (k - 1))
+    return tuple(coords)
+
+
+def _triangle_witness(
+    ctx: SpaceContext, pa: tuple[int, ...], pb: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Vector pair realizing the worst sum profile for (pa, pb)."""
+    u: list[int] = []
+    v: list[int] = []
+    for i in range(ctx.s):
+        _, witness = _block_sum_extremes(ctx.m, ctx.weight_fn.table, ctx.labeling.k[i])
+        x, y = witness[(pa[i], pb[i])]
+        u.extend(x)
+        v.extend(y)
+    return tuple(u), tuple(v)

@@ -4,7 +4,8 @@ import pytest
 
 from oracles import check_weight_axioms_whole_array
 from posetblock import verify
-from posetblock.tables import ideals
+from posetblock.algebra import validate_weight_axioms
+from posetblock.errors import AxiomError
 from posetblock import (
     Alphabet,
     Labeling,
@@ -63,6 +64,12 @@ BROKEN_TABLES = {
     "symmetry": (4, (0, 1, 2, 3)),
     "triangle": (4, (0, 2, 5, 2)),
 }
+# the witness each axiom gets on chain(2), k = (1, 1)
+BROKEN_WITNESSES = {
+    "zero": ((2, 0),),
+    "symmetry": ((1, 0),),
+    "triangle": ((1, 0), (1, 0)),
+}
 
 
 @pytest.mark.parametrize("axiom", sorted(BROKEN_TABLES))
@@ -76,6 +83,8 @@ def test_broken_tables_detected_with_valid_witness(axiom):
         assert fast.axiom == brute.axiom == axiom
         assert_witness_violates(ctx, fast)
         assert_witness_violates(ctx, brute)
+        if k == (1, 1):
+            assert fast.witness == BROKEN_WITNESSES[axiom]
 
 
 def test_zero_axiom_witness_uses_minimal_block():
@@ -147,20 +156,51 @@ TRIANGLE_VIOLATIONS = [
 ]
 
 
+def scalar_rule_witness(ctx):
+    """The first (a, b) in row-major order with w(a + b) > w(a) + w(b), put
+    into the first coordinate of the smallest minimal block."""
+    table, m = ctx.weight_fn.table, ctx.m
+    a, b = next(
+        (a, b) for a in range(m) for b in range(m) if table[(a + b) % m] > table[a] + table[b]
+    )
+    block = min(i for i in ctx.poset.elements if not ctx.poset.principal_ideal(i)[1])
+    u, v = [0] * ctx.n, [0] * ctx.n
+    u[ctx.offsets[block - 1]], v[ctx.offsets[block - 1]] = a, b
+    return tuple(u), tuple(v)
+
+
+def assert_matches_oracle(ctx):
+    """(ok, axiom) equal the whole-array oracle's, and a triangle witness is
+    the scalar rule's and violates under `BlockVector.weight`."""
+    oracle = check_weight_axioms_whole_array(ctx)
+    result = check_weight_axioms(ctx)
+    assert (result.ok, result.axiom) == (oracle.ok, oracle.axiom), (
+        ctx.poset.covers(), ctx.labeling.k, ctx.weight_fn.table,
+    )
+    if result.axiom == "triangle":
+        assert result.witness == scalar_rule_witness(ctx)
+    if not result.ok:
+        assert_witness_violates(ctx, result)
+    return result
+
+
 @pytest.mark.parametrize("step", [None, 1, 64])
 def test_stepwise_triangle_check_matches_whole_array_oracle(monkeypatch, step):
-    # the witness is the first maximum over all pairs in row-major order,
-    # however the class combinations are split into steps (1: one per step)
+    # both routes agree with the oracle however the pairwise route splits its
+    # vector pairs into steps (1: one row of pairs per step)
     if step is not None:
-        monkeypatch.setattr(verify, "_STEP", step)
+        monkeypatch.setattr(verify, "_PAIR_STEP", step)
     for poset, k, table in TRIANGLE_VIOLATIONS:
         ctx = make_context(poset, k, len(table), table)
-        oracle = check_weight_axioms_whole_array(ctx)
-        assert oracle.axiom == "triangle"
-        assert check_weight_axioms(ctx) == oracle, (poset, k, table)
+        assert check_weight_axioms_whole_array(ctx).axiom == "triangle"
+        assert_matches_oracle(ctx)
+        if ctx.size <= 2401:
+            brute = check_weight_axioms_bruteforce(ctx)
+            assert brute.axiom == "triangle", (poset.covers(), k, table)
+            assert_witness_violates(ctx, brute)
     for ctx in valid_contexts():
-        assert check_weight_axioms(ctx) == check_weight_axioms_whole_array(ctx)
-        assert check_weight_axioms(ctx).ok
+        assert assert_matches_oracle(ctx).ok
+        assert check_weight_axioms_bruteforce(ctx).ok
 
 
 def test_random_spaces_match_whole_array_oracle():
@@ -173,26 +213,59 @@ def test_random_spaces_match_whole_array_oracle():
             m = rng.randint(2, 7)
             k = tuple(rng.randint(1, 2) for _ in range(poset.s))
             ctx = make_context(poset, k, m, random_symmetric_table(rng, m))
-            oracle = check_weight_axioms_whole_array(ctx)
-            assert check_weight_axioms(ctx) == oracle, (poset.covers(), k, ctx.weight_fn.table)
+            result = assert_matches_oracle(ctx)
             if ctx.size <= 512:
-                assert check_weight_axioms_bruteforce(ctx).ok == oracle.ok
-            violations += not oracle.ok
+                assert check_weight_axioms_bruteforce(ctx).ok == result.ok
+            violations += not result.ok
     assert violations > 50
 
 
-def test_triangle_check_weighs_supports_not_profile_pairs(monkeypatch):
-    # s = 6 tree over Z_7 with 4 distinct values: 4^6 class combinations at
-    # most, against 4^12 profile pairs
-    poset = Poset.from_covers(6, [(1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
-    ctx = make_context(poset, (1,) * 6, 7, (0, 2, 3, 1, 1, 3, 2))
-    rows = []
+def test_block_weight_is_a_metric_exactly_when_scalar_weight_is():
+    # every poset with s <= 4; blocks of up to 3 coordinates where m <= 4
+    rng = random.Random(13)
+    violations = 0
+    for poset in [p for s in (1, 2, 3, 4) for p in all_posets(s)]:
+        for _ in range(2):
+            m = rng.randint(2, 7)
+            k = tuple(rng.randint(1, 3 if m <= 4 else 2) for _ in range(poset.s))
+            table = random_symmetric_table(rng, m)
+            try:
+                validate_weight_axioms(Alphabet(m), table)
+                scalar_ok = True
+            except AxiomError:
+                scalar_ok = False
+            ctx = make_context(poset, k, m, table)
+            assert assert_matches_oracle(ctx).ok == scalar_ok
+            if ctx.size <= 512:
+                assert check_weight_axioms_bruteforce(ctx).ok == scalar_ok
+            violations += not scalar_ok
+    assert violations > 50
 
-    def recording(poset, supports):
-        rows.append(supports.size // poset.s)
-        return ideals(poset, supports)
 
-    monkeypatch.setattr(verify, "ideals", recording)
-    assert check_weight_axioms(ctx).ok
-    assert rows and sum(rows) <= 3 * 4**6 + 2**6
-    assert max(rows) <= 4**7  # far from the 4^12 profile pairs
+def test_three_coordinate_lee_block_space():
+    # a 3-coordinate block over Z_7: the oracle enumerates 7^6 block pairs,
+    # the check reads 7^2 scalar pairs
+    ctx = make_context(Poset.chain(2), (3, 1), 7, (0, 1, 1, 3, 3, 1, 1))
+    result = assert_matches_oracle(ctx)
+    assert result == verify.AxiomCheck.failed("triangle", ((1, 0, 0, 0), (2, 0, 0, 0)))
+    assert check_weight_axioms(make_context(Poset.chain(2), (3, 1), 7, (0, 1, 2, 3, 3, 2, 1))).ok
+
+
+def test_axiom_check_calls_no_table_routine(monkeypatch):
+    # the check reads the scalar table only: no whole-space table, no numpy
+    def refuse(*args, **kwargs):
+        raise AssertionError("the axiom check called a table routine")
+
+    routines = [
+        name for name, value in vars(verify).items()
+        if getattr(value, "__module__", None) == "posetblock.tables"
+    ]
+    assert {"weight_table", "digit_table"} <= set(routines)
+    for name in routines:
+        monkeypatch.setattr(verify, name, refuse)
+    monkeypatch.setattr(verify, "np", None)
+    # an s = 6 tree: 4^12 profile pairs over Z_7, 3^12 with the broken tables
+    tree = Poset.from_covers(6, [(1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
+    assert check_weight_axioms(make_context(tree, (1,) * 6, 7, (0, 2, 3, 1, 1, 3, 2))).ok
+    for axiom, (m, table) in BROKEN_TABLES.items():
+        assert assert_matches_oracle(make_context(tree, (1,) * 6, m, table)).axiom == axiom
