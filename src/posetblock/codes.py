@@ -26,13 +26,7 @@ from .errors import (
 )
 from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from .tables import (
-    block_max_table,
-    digit_table,
-    profile_weights,
-    two_smallest_code_distances,
-    weight_table,
-)
+from .tables import block_max_table, digit_table, profile_weights, rank_powers, weight_table
 
 _CHUNK = 1 << 18  # coordinates of the largest vector array one step of a code scan builds
 
@@ -230,45 +224,82 @@ def packing_radius(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
     """Largest radius at which codeword balls stay pairwise disjoint."""
     if code.size < 2:
         raise TooSmallError("packing radius needs at least two codewords")
-    return _packing_radius(_distance_profiles(code, budget))
+    return _packing(code, budget)[0]
 
 
 def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
-    """True when radius-`radius` balls around the codewords partition the space."""
+    """True when radius-`radius` balls around the codewords partition the space.
+
+    The K balls are translates of B(0, radius) (see `_packing`), so they
+    partition the m^n vectors exactly when K * |B(0, radius)| = m^n and,
+    for K >= 2, they are pairwise disjoint, that is radius <= rho.
+    """
     if radius < 0:
         raise NegativeRadiusError("radius must be nonnegative")
-    return _is_r_perfect(_distance_profiles(code, budget), radius)
+    ctx = code.context
+    volume = np.count_nonzero(weight_table(ctx, budget) <= radius)
+    if code.size * volume != ctx.size:
+        return False
+    return code.size < 2 or radius <= _packing(code, budget)[0]
 
 
-def _distance_profiles(code: Code, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per vector of the space, its smallest and second-smallest distance to the code."""
+def _packing(code: Code, budget: int) -> tuple[int, bool]:
+    """The packing radius rho of a code with K >= 2 words, and whether it is
+    rho-perfect.
+
+    With d(x, c) = W(x - c), the ball B(c, r) is the translate c + B(0, r).
+    The shells of B(0, r) are added in increasing weight w, and the ranks of
+    their translates c + b marked in one boolean array of m^n entries, in
+    steps of at most about `_CHUNK` coordinates.  Since c + b = c + b' forces
+    b = b', a rank met twice lies in the balls of two distinct codewords:
+    the radius-(w - 1) balls are disjoint and the radius-w balls meet at that
+    vector, so rho = w - 1 for the first weight w at which a translate
+    repeats.  The K translates of B(0, w) are K * |B(0, w)| vectors, so a
+    repeat is certain once that exceeds m^n, and the walk stops there
+    without marking: it never marks more than m^n translates.  The vectors
+    of weight below w are B(0, rho), so the code is rho-perfect exactly when
+    the marked translates, K * |B(0, rho)| disjoint ones, cover m^n.
+    """
     ctx = code.context
     weights = weight_table(ctx, budget)
     digits = digit_table(ctx, budget)
-    return two_smallest_code_distances(ctx, code.coords_list(), weights, digits)
+    order = np.argsort(weights, kind="stable")
+    ranked = weights[order]
+    shells = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), ctx.size]
+    words = np.asarray(code.coords_list(), dtype=np.int64)
+    powers = rank_powers(ctx)
+    marked = np.zeros(ctx.size, dtype=bool)
+    step = max(1, _CHUNK // ctx.n)
 
+    def repeats(low: int, high: int) -> bool:
+        """Mark the translates of the shell order[low:high]; True at the first repeat."""
+        pairs = range(low * code.size, high * code.size)
+        for start in pairs[::step]:
+            row, word = np.divmod(np.arange(start, min(start + step, pairs.stop)), code.size)
+            ranks = np.sort((digits[order[row]] + words[word]) % ctx.m @ powers)
+            if marked[ranks].any() or (ranks[1:] == ranks[:-1]).any():
+                return True
+            marked[ranks] = True
+        return False
 
-def _packing_radius(profiles: tuple[np.ndarray, np.ndarray]) -> int:
-    return int(profiles[1].min()) - 1
-
-
-def _is_r_perfect(profiles: tuple[np.ndarray, np.ndarray], radius: int) -> bool:
-    if radius < 0:
-        raise NegativeRadiusError("radius must be nonnegative")
-    d1, d2 = profiles
-    return bool((d1 <= radius).all() and (d2 > radius).all())
+    for low, high in zip(shells, shells[1:]):
+        if code.size * high > ctx.size or repeats(low, high):
+            break
+    return int(ranked[low]) - 1, code.size * low == ctx.size
 
 
 def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     """Full report: distances, Singleton data, packing radius, perfection.
 
-    The minimum distances `d_w` and `d_H` and the distance profiles behind
-    the packing radius and perfection are each computed once.
+    The minimum distances `d_w` and `d_H` are each computed once, and one
+    walk over the translates of the zero ball (`_packing`) gives both the
+    packing radius and perfection.
     """
     d = min_distance(code)
     params = _singleton_params(code, d)
-    profiles = _distance_profiles(code, budget)
-    rho = _packing_radius(profiles)
+    rho, is_perfect = _packing(code, budget)
+    if rho < 0:
+        raise NegativeRadiusError("radius must be nonnegative")
     return CodeReport(
         size=code.size,
         min_distance=d,
@@ -278,7 +309,7 @@ def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
         singleton_bound=params.bound,
         is_mds=params.is_mds,
         packing_radius=rho,
-        is_perfect=_is_r_perfect(profiles, rho),
+        is_perfect=is_perfect,
     )
 
 

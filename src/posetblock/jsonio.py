@@ -104,7 +104,9 @@ def code_from_doc(doc: dict, ctx: SpaceContext, budget: int) -> Code:
         return Code.from_generator(ctx, rows, budget=budget)
     if "codewords" in doc:
         words = _int_rows(doc["codewords"], "codeword")
-        linear = bool(doc.get("linear", False))
+        linear = doc.get("linear", False)
+        if not isinstance(linear, bool):
+            raise ParseError("code key 'linear' must be true or false")
         return Code.from_words(ctx, words, linear=linear)
     raise ParseError("code document needs 'codewords' or 'generator'")
 

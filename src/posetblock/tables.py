@@ -1,5 +1,6 @@
-"""Vectorized whole-space tables, profile weights and poset ideals used by
-code analytics, verification and the isometry layer.
+"""Vectorized whole-space tables (digits and weights, each built at most once
+per context and cached), profile weights and poset ideals used by code
+analytics, verification and the isometry layer.
 
 All tables index vectors by their lexicographic rank: coordinate tuples
 are read as base-m digits, most significant first, matching the order of
@@ -119,40 +120,3 @@ def _order_matrix(poset: Poset) -> np.ndarray:
     below = np.array([[down >> i & 1 for i in range(poset.s)] for down in poset.down], np.float32)
     below.flags.writeable = False
     return below
-
-
-def difference_rank_table(
-    ctx: SpaceContext, center_coords: tuple[int, ...], digits: np.ndarray
-) -> np.ndarray:
-    """(size,) array: rank of (v - center) for every vector rank v."""
-    diff = digits - np.asarray(center_coords, dtype=np.int32)
-    diff %= ctx.m
-    return diff @ rank_powers(ctx)
-
-
-def distance_table(
-    ctx: SpaceContext,
-    center_coords: tuple[int, ...],
-    weights: np.ndarray,
-    digits: np.ndarray,
-) -> np.ndarray:
-    """(size,) array of distances from `center_coords` to every vector."""
-    return weights[difference_rank_table(ctx, center_coords, digits)]
-
-
-def two_smallest_code_distances(
-    ctx: SpaceContext,
-    codeword_coords: list[tuple[int, ...]],
-    weights: np.ndarray,
-    digits: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vector smallest and second-smallest distance to the codewords."""
-    size = len(weights)
-    limit = np.iinfo(np.int64).max
-    d1 = np.full(size, limit, dtype=np.int64)
-    d2 = np.full(size, limit, dtype=np.int64)
-    for coords in codeword_coords:
-        d = distance_table(ctx, coords, weights, digits)
-        np.minimum(d2, np.maximum(d1, d), out=d2)
-        np.minimum(d1, d, out=d1)
-    return d1, d2

@@ -7,6 +7,7 @@ from math import gcd
 import numpy as np
 
 from posetblock.space import SpaceContext
+from posetblock.tables import digit_table, rank_powers, weight_table
 from posetblock.verify import AxiomCheck
 
 
@@ -142,3 +143,49 @@ def _triangle_witness(
         u.extend(x)
         v.extend(y)
     return tuple(u), tuple(v)
+
+
+def difference_rank_table(
+    ctx: SpaceContext, center_coords: tuple[int, ...], digits: np.ndarray
+) -> np.ndarray:
+    """(size,) array: rank of (v - center) for every vector rank v."""
+    diff = digits - np.asarray(center_coords, dtype=np.int32)
+    diff %= ctx.m
+    return diff @ rank_powers(ctx)
+
+
+def distance_table(
+    ctx: SpaceContext,
+    center_coords: tuple[int, ...],
+    weights: np.ndarray,
+    digits: np.ndarray,
+) -> np.ndarray:
+    """(size,) array of distances from `center_coords` to every vector."""
+    return weights[difference_rank_table(ctx, center_coords, digits)]
+
+
+def two_smallest_code_distances(
+    ctx: SpaceContext,
+    codeword_coords: list[tuple[int, ...]],
+    weights: np.ndarray,
+    digits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vector smallest and second-smallest distance to the codewords."""
+    size = len(weights)
+    limit = np.iinfo(np.int64).max
+    d1 = np.full(size, limit, dtype=np.int64)
+    d2 = np.full(size, limit, dtype=np.int64)
+    for coords in codeword_coords:
+        d = distance_table(ctx, coords, weights, digits)
+        np.minimum(d2, np.maximum(d1, d), out=d2)
+        np.minimum(d1, d, out=d1)
+    return d1, d2
+
+
+def scan_profiles(code):
+    """The d1/d2 scan over the whole space of `code`: per vector, its smallest
+    and second-smallest distance to the codewords."""
+    ctx = code.context
+    return two_smallest_code_distances(
+        ctx, code.coords_list(), weight_table(ctx), digit_table(ctx)
+    )

@@ -8,7 +8,7 @@ equality over fully enumerated domains or fixed seeded samples.
 import json
 import random
 import time
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import factorial
 
 import numpy as np
@@ -21,6 +21,7 @@ from posetblock import (
     Poset,
     SpaceContext,
     all_posets,
+    analyze,
     check_weight_axioms,
     check_weight_axioms_bruteforce,
     enumerate_isometry_group,
@@ -43,14 +44,9 @@ from posetblock import (
     verify_semidirect,
 )
 from posetblock.cli import main
-from posetblock.tables import (
-    block_max_table,
-    difference_rank_table,
-    digit_table,
-    weight_table,
-)
+from posetblock.tables import block_max_table, digit_table, weight_table
 
-from oracles import is_invertible_mod
+from oracles import difference_rank_table, is_invertible_mod, scan_profiles
 
 MAX_EXHAUSTIVE_SIZE = 4096
 ALPHABETS = (2, 3, 4, 5)
@@ -289,19 +285,10 @@ def test_criterion_5_singleton_mds_perfect_suite():
                 violations.append(("singleton violated", name, code.coords_list()))
 
     # chain graph codes are (t * max_weight)-perfect for identity and random maps
-    for ctx in chain_fixtures():
-        for t in range(ctx.s + 1):
-            tables = [identity_tail_map(ctx, t)]
-            tables += [random_tail_map(ctx, t, rng) for _ in range(100)]
-            seen = set()
-            for table in tables:
-                key = tuple(sorted(table.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-                code = perfect_code_from_function(ctx, t, table)
-                if not is_r_perfect(code, t * ctx.max_weight):
-                    violations.append(("graph code not perfect", ctx.labeling.k, ctx.m, t))
+    for t, code in chain_graph_codes(rng):
+        ctx = code.context
+        if not is_r_perfect(code, t * ctx.max_weight):
+            violations.append(("graph code not perfect", ctx.labeling.k, ctx.m, t))
 
     # full subspace enumeration of the two smallest chain spaces
     applicable_seen = 0
@@ -337,6 +324,48 @@ def test_min_distances_match_pairwise_on_fixture_bundles():
             assert (min_distance(code), hamming_min_distance(code)) == (d_w, d_h), (
                 ctx.poset.covers(), ctx.labeling.k, ctx.weight_fn.table, code.coords_list()
             )
+
+
+def chain_graph_codes(rng):
+    """The graph codes of criterion 5: identity and random tail maps, every t."""
+    for ctx in chain_fixtures():
+        for t in range(ctx.s + 1):
+            tables = [identity_tail_map(ctx, t)]
+            tables += [random_tail_map(ctx, t, rng) for _ in range(100)]
+            seen = set()
+            for table in tables:
+                key = tuple(sorted(table.items()))
+                if key not in seen:
+                    seen.add(key)
+                    yield t, perfect_code_from_function(ctx, t, table)
+
+
+def test_packing_and_perfection_match_distance_scan():
+    """packing_radius, analyze(...).is_perfect and is_r_perfect at every radius
+    up to the diameter against the d1/d2 scan oracle, on the chain graph codes
+    and on one code of every fixture bundle: a random code or, on every other
+    bundle, the span of one random vector."""
+    rng = random.Random(43)
+
+    def bundle_codes():
+        for index, ctx in enumerate(fixture_bundles()):
+            if index % 2:
+                yield Code.from_generator(ctx, [ctx.vector_at(rng.randrange(1, ctx.size)).coords])
+            else:
+                yield random_code(ctx, rng.randint(2, min(5, ctx.size)), rng)
+
+    graph_codes = (code for _, code in chain_graph_codes(rng))
+    for code in chain(bundle_codes(), graph_codes):
+        ctx = code.context
+        d1, d2 = scan_profiles(code)
+        radii = range(ctx.diameter + 1)
+        perfect = [bool((d1 <= r).all() and (d2 > r).all()) for r in radii]
+        where = (ctx.poset.covers(), ctx.labeling.k, ctx.weight_fn.table, code.coords_list())
+        assert [is_r_perfect(code, r) for r in radii] == perfect, where
+        if code.size > 1:
+            rho = int(d2.min()) - 1
+            assert packing_radius(code) == rho, where
+            assert analyze(code).is_perfect == perfect[rho], where
 
 
 _FIXTURE_CODE_CACHE: dict = {}

@@ -200,7 +200,8 @@ def probe_modules(bundle, command, *extra, space=True):
 @pytest.mark.parametrize(
     "command,extra",
     [("isometry-group", ("--list",)), ("isometry-group", ("--exhaustive",)),
-     ("decompose", ("--matrix", "matrix.json")), ("code-report", ("--code", "code.json"))],
+     ("decompose", ("--matrix", "matrix.json")), ("code-report", ("--code", "code.json")),
+     ("perfect-construct", ("--generate", "identity", "--t", "1"))],
 )
 def test_group_commands_do_not_import_numpy_ma(bundle, command, extra):
     # numpy.ma costs each CLI process an import of over 10 ms
@@ -429,7 +430,15 @@ def test_negative_budget_is_validation_error(capsys, bundle, command, flag):
 
 
 @pytest.mark.parametrize(
-    "doc", [{"codewords": 5}, {"codewords": None}, {"generator": 5}, {"generator": "x"}]
+    "doc",
+    [
+        {"codewords": 5},
+        {"codewords": None},
+        {"generator": 5},
+        {"generator": "x"},
+        {"codewords": [[0, 0], [1, 1]], "linear": "no"},
+        {"codewords": [[0, 1], [1, 1]], "linear": 1},
+    ],
 )
 def test_code_document_that_is_not_a_list_is_parse_error(capsys, bundle, tmp_path, doc):
     (tmp_path / "bad_code.json").write_text(json.dumps(doc), encoding="utf-8")

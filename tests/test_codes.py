@@ -10,11 +10,15 @@ from posetblock import (
     BudgetError,
     Code,
     LabelError,
+    Labeling,
+    NegativeRadiusError,
     NotChainError,
     NotFinerError,
     Poset,
+    SpaceContext,
     TooSmallError,
     ValidationError,
+    WeightFunction,
     analyze,
     ball,
     enumerate_linear_codes,
@@ -34,7 +38,7 @@ from posetblock import (
     space_context,
     zero_tail_map,
 )
-from posetblock import codes
+from posetblock import codes, tables
 from posetblock.tables import weight_table
 
 
@@ -211,20 +215,24 @@ def test_min_distances_need_no_whole_space_table():
 
 
 def test_analytics_compute_each_quantity_once(monkeypatch, chain2_m2):
-    scans = []
-    scan = codes.two_smallest_code_distances
+    walks = []
+    walk = codes._packing
 
-    def counted_scan(*args):
-        scans.append(args)
-        return scan(*args)
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
 
-    monkeypatch.setattr(codes, "two_smallest_code_distances", counted_scan)
+    monkeypatch.setattr(codes, "_packing", counted_walk)
     code = repetition_code(chain2_m2)
+    for table in (tables._weight_table, tables._digit_table):
+        table.cache_clear()
     analyze(code)
-    assert len(scans) == 1
-    scans.clear()
+    assert len(walks) == 1
+    assert tables._weight_table.cache_info().misses == 1
+    assert tables._digit_table.cache_info().misses == 1
+    walks.clear()
     mds_iff_perfect_check(code)
-    assert len(scans) == 1
+    assert len(walks) == 1
 
     built = []
     init = Code.__init__
@@ -273,14 +281,28 @@ def test_packing_radius_examples(chain2_m2):
     assert packing_radius(whole) == 0
 
 
-def test_packing_radius_matches_oracle_on_random_codes():
+def test_packing_radius_minus_one_when_balls_of_radius_zero_meet():
+    # w(1) = 0, so B(0, 0) = {0, 1} and the radius-0 balls of 0 and 1 share 1
+    ctx = SpaceContext(Poset.chain(1), Labeling((1,)), Alphabet(4), WeightFunction((0, 0, 1, 0)))
+    code = Code.from_words(ctx, [(0,), (1,)])
+    assert packing_radius(code) == -1
+    assert not any(is_r_perfect(code, r) for r in (0, 1, 2))
+    with pytest.raises(NegativeRadiusError):
+        analyze(code)
+
+
+def test_packing_radius_matches_oracle_on_random_codes(monkeypatch):
     rng = random.Random(11)
     ctx = space_context(Poset.chain(3), (1, 1, 1), 2)
     lee = space_context(Poset.chain(2), (1, 1), 5, lee_weight(Alphabet(5)))
+    # a chunk of 7 coordinates walks a shell in many steps
+    chunks = (codes._CHUNK, 7)
     for space in (ctx, lee):
         for _ in range(12):
             code = random_code(space, rng.randint(2, 5), rng)
-            assert packing_radius(code) == packing_radius_oracle(code)
+            for chunk in chunks:
+                monkeypatch.setattr(codes, "_CHUNK", chunk)
+                assert packing_radius(code) == packing_radius_oracle(code)
 
 
 def test_is_r_perfect_examples(chain2_m2):
