@@ -228,6 +228,7 @@ def _cmd_code_report(config: argparse.Namespace) -> dict:
 
 def _cmd_perfect_construct(config: argparse.Namespace) -> dict:
     from . import codes
+    from .tables import check_vector_budget
     ctx = _context(config)
     if config.map is not None:
         t, table = jsonio.tail_map_from_doc(_load(config, "map", config.map))
@@ -235,6 +236,10 @@ def _cmd_perfect_construct(config: argparse.Namespace) -> dict:
         if config.t is None:
             raise ValidationError("--generate needs --t")
         t = config.t
+        # the checks the construction and `is_r_perfect` make, before a map is built
+        codes.tail_length(ctx, t)
+        codes.require_natural_chain(ctx)
+        check_vector_budget(ctx, config.budget)
         if config.generate == "identity":
             table = codes.identity_tail_map(ctx, t)
         elif config.generate == "zero":
@@ -252,7 +257,7 @@ def _cmd_perfect_construct(config: argparse.Namespace) -> dict:
         "is_r_perfect": codes.is_r_perfect(code, radius, budget=config.budget),
     }
     if config.list_elements:
-        payload["codewords"] = [list(v.coords) for v in code.codewords]
+        payload["codewords"] = code.digits.tolist()
     return payload
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -25,20 +26,22 @@ from .errors import (
     ValidationError,
 )
 from .poset import Poset
-from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from .tables import block_max_table, digit_table, profile_weights, rank_powers, weight_table
+from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
+from .tables import block_max_table, digit_rows, digit_table, profile_weights, rank_powers
+from .tables import weight_order, weight_table  # noqa: F401  perfbench wraps codes.weight_table
 
 _CHUNK = 1 << 18  # coordinates of the largest vector array one step of a code scan builds
 
 TailMap = Mapping[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
-    """Deduplicated, lexicographically sorted codewords over one context."""
+    """A code over one context: its distinct codewords as a read-only (K, n)
+    int64 array of digit rows, in lexicographic order."""
 
     context: SpaceContext
-    codewords: tuple[BlockVector, ...]
+    digits: np.ndarray
     linear: bool = False
     generator: tuple[BlockVector, ...] | None = None
 
@@ -49,16 +52,7 @@ class Code:
         words: Iterable[Sequence[int] | BlockVector],
         linear: bool = False,
     ) -> Code:
-        seen = {}
-        for w in words:
-            v = w if isinstance(w, BlockVector) else ctx.vector(w)
-            if v.context != ctx:
-                raise ValidationError("codeword built over a different context")
-            seen[v.coords] = v
-        if not seen:
-            raise ValidationError("a code needs at least one codeword")
-        codewords = tuple(seen[c] for c in sorted(seen))
-        code = cls(ctx, codewords, linear=linear)
+        code = cls._canonical(ctx, _word_rows(ctx, list(words)), linear=linear)
         if linear:
             code._check_linear()
         return code
@@ -70,18 +64,26 @@ class Code:
         rows: Iterable[Sequence[int]],
         budget: int = DEFAULT_VECTOR_BUDGET,
     ) -> Code:
-        """Span of the generator rows over Z_m."""
+        """Span of the generator rows over Z_m: the product of the m^g x g grid
+        of all coefficient rows with the g x n generator, mod m."""
         gens = tuple(ctx.vector(r) for r in rows)
         if ctx.m ** len(gens) > budget:
             raise BudgetError(f"span of {len(gens)} rows over Z_{ctx.m} exceeds budget")
-        span = {}
-        for coeffs in product(range(ctx.m), repeat=len(gens)):
-            v = ctx.zero()
-            for c, g in zip(coeffs, gens):
-                v = v + g.scale(c)
-            span[v.coords] = v
-        codewords = tuple(span[c] for c in sorted(span))
-        return cls(ctx, codewords, linear=True, generator=gens)
+        matrix = np.array([g.coords for g in gens], dtype=np.int64).reshape(len(gens), ctx.n)
+        span = digit_rows(ctx.m, len(gens)) @ matrix % ctx.m
+        return cls._canonical(ctx, span, linear=True, generator=gens)
+
+    @classmethod
+    def _canonical(cls, ctx: SpaceContext, rows: np.ndarray, **fields) -> Code:
+        """The code of the (K, n) digit rows: sorted by a lexsort, duplicates dropped."""
+        if not len(rows):
+            raise ValidationError("a code needs at least one codeword")
+        rows = rows[np.lexsort(rows.T[::-1])]
+        distinct = np.ones(len(rows), dtype=bool)
+        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[distinct]
+        rows.flags.writeable = False
+        return cls(ctx, rows, **fields)
 
     def _check_linear(self) -> None:
         """Raise on the first codeword u, in order, with a multiple c * u
@@ -91,9 +93,9 @@ class Code:
         of at most about `_CHUNK` coordinates (one codeword's at the least).
         """
         ctx = self.context
-        if not self.codewords[0].is_zero:
+        words = self.digits
+        if words[0].any():
             raise ValidationError("linear code must contain the zero vector")
-        words = np.asarray(self.coords_list(), dtype=np.int64)
         # Python integers where a rank may overflow int64
         wide = np.int64 if ctx.size <= np.iinfo(np.int64).max else object
         powers = np.asarray([ctx.m ** (ctx.n - 1 - pos) for pos in range(ctx.n)], dtype=wide)
@@ -106,22 +108,68 @@ class Code:
             ranks = np.concatenate([rows * multiples, rows + words], axis=1) % ctx.m @ powers
             found = members[np.minimum(np.searchsorted(members, ranks), len(members) - 1)]
             for i, j in np.argwhere(found != ranks)[:1].tolist():
-                u = self.codewords[start + i].coords
+                u = tuple(words[start + i].tolist())
                 if j < len(multiples):
                     raise ValidationError(f"not closed under scaling: {j + 2} * {u}")
-                v = self.codewords[j - len(multiples)].coords
+                v = tuple(words[j - len(multiples)].tolist())
                 raise ValidationError(f"not closed under addition: {u} + {v}")
 
     @property
     def size(self) -> int:
-        return len(self.codewords)
+        return len(self.digits)
+
+    @cached_property
+    def codewords(self) -> tuple[BlockVector, ...]:
+        """The codewords as `BlockVector` objects, in order, built on first access."""
+        with gc_paused():
+            return tuple(BlockVector(self.context, word) for word in self.coords_list())
 
     def coords_list(self) -> list[tuple[int, ...]]:
-        return [v.coords for v in self.codewords]
+        return list(map(tuple, self.digits.tolist()))
 
     def in_context(self, ctx: SpaceContext) -> Code:
         """The same codeword set reinterpreted in another context of equal n, m."""
         return Code.from_words(ctx, self.coords_list(), linear=self.linear)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Code):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    @cached_property
+    def _key(self) -> tuple:
+        return self.context, self.digits.shape, self.digits.tobytes(), self.linear, self.generator
+
+
+def _word_rows(ctx: SpaceContext, words: list) -> np.ndarray:
+    """The words as a (K, n) int64 array, each checked as `ctx.vector` checks
+    it, or, for a `BlockVector`, to belong to `ctx`.
+
+    One array conversion and range check serve well-formed words; whatever
+    they reject is replayed word by word, so the first bad word raises.
+    """
+    coords = [w.coords if isinstance(w, BlockVector) and w.context == ctx else w for w in words]
+    try:
+        rows = np.array(coords, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.shape != (len(words), ctx.n) or not _in_range(rows, ctx.m):
+        rows = np.array([_vector(ctx, w).coords for w in words], dtype=np.int64)
+    return rows
+
+
+def _vector(ctx: SpaceContext, word: Sequence[int] | BlockVector) -> BlockVector:
+    v = word if isinstance(word, BlockVector) else ctx.vector(word)
+    if v.context != ctx:
+        raise ValidationError("codeword built over a different context")
+    return v
+
+
+def _in_range(rows: np.ndarray, m: int) -> bool:
+    return bool(((rows >= 0) & (rows < m)).all())
 
 
 @dataclass(frozen=True)
@@ -187,7 +235,7 @@ def _differences(code: Code) -> Iterator[np.ndarray]:
     """The difference rows of `min_distance`, in steps of at most about
     `_CHUNK` coordinates (one codeword's pairs at the least)."""
     ctx = code.context
-    words = np.asarray(code.coords_list(), dtype=np.int64)
+    words = code.digits
     if code.linear:
         nonzero = words[words.any(axis=1)]
         yield from np.array_split(nonzero, -(-nonzero.size // _CHUNK))
@@ -237,7 +285,7 @@ def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -
     if radius < 0:
         raise NegativeRadiusError("radius must be nonnegative")
     ctx = code.context
-    volume = np.count_nonzero(weight_table(ctx, budget) <= radius)
+    volume = int(np.searchsorted(weight_order(ctx, budget)[1], radius, side="right"))
     if code.size * volume != ctx.size:
         return False
     return code.size < 2 or radius <= _packing(code, budget)[0]
@@ -248,25 +296,23 @@ def _packing(code: Code, budget: int) -> tuple[int, bool]:
     rho-perfect.
 
     With d(x, c) = W(x - c), the ball B(c, r) is the translate c + B(0, r).
-    The shells of B(0, r) are added in increasing weight w, and the ranks of
-    their translates c + b marked in one boolean array of m^n entries, in
-    steps of at most about `_CHUNK` coordinates.  Since c + b = c + b' forces
-    b = b', a rank met twice lies in the balls of two distinct codewords:
-    the radius-(w - 1) balls are disjoint and the radius-w balls meet at that
-    vector, so rho = w - 1 for the first weight w at which a translate
-    repeats.  The K translates of B(0, w) are K * |B(0, w)| vectors, so a
-    repeat is certain once that exceeds m^n, and the walk stops there
-    without marking: it never marks more than m^n translates.  The vectors
-    of weight below w are B(0, rho), so the code is rho-perfect exactly when
-    the marked translates, K * |B(0, rho)| disjoint ones, cover m^n.
+    The shells of B(0, r), read from the cached weight order, are added in
+    increasing weight w, and the ranks of their translates c + b marked in
+    one boolean array of m^n entries, in steps of at most about `_CHUNK`
+    coordinates.  Since c + b = c + b' forces b = b', a rank met twice lies
+    in the balls of two distinct codewords: the radius-(w - 1) balls are
+    disjoint and the radius-w balls meet at that vector, so rho = w - 1 for
+    the first weight w at which a translate repeats.  The K translates of
+    B(0, w) are K * |B(0, w)| vectors, so a repeat is certain once that
+    exceeds m^n, and the walk stops there without marking: it never marks
+    more than m^n translates.  The vectors of weight below w are B(0, rho),
+    so the code is rho-perfect exactly when the marked translates,
+    K * |B(0, rho)| disjoint ones, cover m^n.
     """
     ctx = code.context
-    weights = weight_table(ctx, budget)
+    order, ranked, shells = weight_order(ctx, budget)
     digits = digit_table(ctx, budget)
-    order = np.argsort(weights, kind="stable")
-    ranked = weights[order]
-    shells = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), ctx.size]
-    words = np.asarray(code.coords_list(), dtype=np.int64)
+    words = code.digits
     powers = rank_powers(ctx)
     marked = np.zeros(ctx.size, dtype=bool)
     step = max(1, _CHUNK // ctx.n)
@@ -316,7 +362,7 @@ def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
 # -- chain constructions ----------------------------------------------------
 
 
-def _require_natural_chain(ctx: SpaceContext) -> None:
+def require_natural_chain(ctx: SpaceContext) -> None:
     if not ctx.poset.is_natural_chain:
         raise NotChainError("operation requires the chain 1 < 2 < .. < s")
 
@@ -330,22 +376,36 @@ def tail_length(ctx: SpaceContext, t: int) -> int:
 def perfect_code_from_function(ctx: SpaceContext, t: int, tail_map: TailMap) -> Code:
     """Graph code {(f(v), v)} over all tails v of the last s - t blocks.
 
-    On the natural chain this code is (t * max_weight)-perfect.
+    On the natural chain this code is (t * max_weight)-perfect.  The tails
+    are the rows of one digit grid and the heads one array; heads that the
+    array conversion or range check rejects are replayed tail by tail, so the
+    first bad tail raises.
     """
-    _require_natural_chain(ctx)
-    head_n = ctx.n - tail_length(ctx, t)
-    words = []
-    for tail in product(range(ctx.m), repeat=ctx.n - head_n):
-        try:
-            head = tuple(int(c) for c in tail_map[tail])
-        except KeyError:
-            raise ArityError(f"function table misses tail {tail}") from None
-        if len(head) != head_n:
-            raise ArityError(f"head {head} must have {head_n} coordinates")
-        if any(not 0 <= c < ctx.m for c in head):
-            raise ArityError(f"head {head} has coordinates outside 0..{ctx.m - 1}")
-        words.append(head + tail)
-    return Code.from_words(ctx, words)
+    require_natural_chain(ctx)
+    tail_n = tail_length(ctx, t)
+    head_n = ctx.n - tail_n
+    tails = digit_rows(ctx.m, tail_n)
+    try:
+        heads = np.array([tail_map[tail] for tail in product(range(ctx.m), repeat=tail_n)],
+                         dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        heads = None
+    if heads is None or heads.shape != (len(tails), head_n) or not _in_range(heads, ctx.m):
+        heads = np.array([_head(ctx, tail_map, tail, head_n)
+                          for tail in product(range(ctx.m), repeat=tail_n)], dtype=np.int64)
+    return Code._canonical(ctx, np.concatenate([heads, tails], axis=1))
+
+
+def _head(ctx: SpaceContext, tail_map: TailMap, tail: tuple[int, ...], head_n: int) -> tuple:
+    try:
+        head = tuple(int(c) for c in tail_map[tail])
+    except KeyError:
+        raise ArityError(f"function table misses tail {tail}") from None
+    if len(head) != head_n:
+        raise ArityError(f"head {head} must have {head_n} coordinates")
+    if any(not 0 <= c < ctx.m for c in head):
+        raise ArityError(f"head {head} has coordinates outside 0..{ctx.m - 1}")
+    return head
 
 
 def identity_tail_map(ctx: SpaceContext, t: int) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -379,11 +439,11 @@ def random_tail_map(
 def reconstruct_tail_map(code: Code, t: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Invert the graph construction; fails unless every tail appears exactly once."""
     ctx = code.context
-    _require_natural_chain(ctx)
+    require_natural_chain(ctx)
     head_n = ctx.n - tail_length(ctx, t)
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for v in code.codewords:
-        head, tail = v.coords[:head_n], v.coords[head_n:]
+    for word in code.coords_list():
+        head, tail = word[:head_n], word[head_n:]
         if tail in table:
             raise ValidationError(f"two codewords share tail {tail}")
         table[tail] = head

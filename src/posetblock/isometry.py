@@ -35,7 +35,9 @@ from .errors import (
     SizeMismatchError,
 )
 from .poset import Labeling, Permutation, Poset
-from .space import DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
+from .space import (
+    DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
+)
 from .tables import _order_matrix, digit_table, ideals, rank_powers, weight_table
 
 _CHUNK = 1 << 18  # entries of the largest rank array one batched step builds
@@ -117,7 +119,8 @@ class GroupReport:
 
 
 def _block_matrices(ctx: SpaceContext, mats: np.ndarray) -> list[BlockMatrix]:
-    return [BlockMatrix(ctx, tuple(map(tuple, rows))) for rows in mats.tolist()]
+    with gc_paused():
+        return [BlockMatrix(ctx, tuple(map(tuple, rows))) for rows in mats.tolist()]
 
 
 # -- membership tests ---------------------------------------------------------

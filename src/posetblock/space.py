@@ -12,6 +12,8 @@ Distance is the weight of the difference.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -229,6 +231,24 @@ class BlockVector:
     def scale(self, c: int) -> BlockVector:
         m = self.context.m
         return BlockVector(self.context, tuple(c * a % m for a in self.coords))
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a bulk list of value objects
+    (vectors, matrices and their tuples) is built; restore it on exit.
+
+    Each new tuple counts towards the collector's thresholds, so building
+    hundreds of thousands of them runs many passes over all of them, none of
+    which can free anything: the objects hold no reference cycles.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def ball(center: BlockVector, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -> list[BlockVector]:

@@ -1,6 +1,6 @@
-"""Vectorized whole-space tables (digits and weights, each built at most once
-per context and cached), profile weights and poset ideals used by code
-analytics, verification and the isometry layer.
+"""Vectorized whole-space tables (digits, weights and the weight order, each
+built at most once per context and cached), profile weights and poset ideals
+used by code analytics, verification and the isometry layer.
 
 All tables index vectors by their lexicographic rank: coordinate tuples
 are read as base-m digits, most significant first, matching the order of
@@ -36,12 +36,20 @@ def digit_table(ctx: SpaceContext, budget: int = DEFAULT_VECTOR_BUDGET) -> np.nd
 
 @lru_cache(maxsize=32)
 def _digit_table(ctx: SpaceContext) -> np.ndarray:
-    ranks = np.arange(ctx.size, dtype=np.int64)
-    table = np.empty((ctx.size, ctx.n), dtype=np.int32)
-    for pos in range(ctx.n - 1, -1, -1):
-        table[:, pos] = ranks % ctx.m
-        ranks //= ctx.m
+    table = digit_rows(ctx.m, ctx.n)
     table.flags.writeable = False
+    return table
+
+
+def digit_rows(m: int, width: int) -> np.ndarray:
+    """(m**width, width) int32 array: row r holds the base-m digits of r, most
+    significant first, so the rows run in the order of
+    `itertools.product(range(m), repeat=width)`."""
+    ranks = np.arange(m**width, dtype=np.int64)
+    table = np.empty((m**width, width), dtype=np.int32)
+    for pos in range(width - 1, -1, -1):
+        table[:, pos] = ranks % m
+        ranks //= m
     return table
 
 
@@ -83,6 +91,30 @@ def _weight_table(ctx: SpaceContext) -> np.ndarray:
         weights[start:start + _ROWS] = profile_weights(ctx, block_max_table(ctx, rows))
     weights.flags.writeable = False
     return weights
+
+
+def weight_order(
+    ctx: SpaceContext, budget: int = DEFAULT_VECTOR_BUDGET
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The ranks sorted stably by weight, their weights in that order, and the
+    bounds of the runs of equal weight (the shells), from 0 to `ctx.size`.
+
+    `searchsorted(weights, r, side="right")` is the volume |B(0, r)|.
+    Cached per context; the arrays are read-only.
+    """
+    check_vector_budget(ctx, budget)
+    return _weight_order(ctx)
+
+
+@lru_cache(maxsize=32)
+def _weight_order(ctx: SpaceContext) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    weights = _weight_table(ctx)
+    order = np.argsort(weights, kind="stable")
+    ranked = weights[order]
+    for table in (order, ranked):
+        table.flags.writeable = False
+    shells = (0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), ctx.size)
+    return order, ranked, shells
 
 
 def profile_weights(ctx: SpaceContext, profiles: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ from math import gcd
 
 import numpy as np
 
-from posetblock.space import SpaceContext
+from posetblock.errors import ArityError, BudgetError, ValidationError
+from posetblock.space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
 from posetblock.tables import digit_table, rank_powers, weight_table
 from posetblock.verify import AxiomCheck
 
@@ -189,3 +190,72 @@ def scan_profiles(code):
     return two_smallest_code_distances(
         ctx, code.coords_list(), weight_table(ctx), digit_table(ctx)
     )
+
+
+def code_from_words(ctx: SpaceContext, words, linear: bool = False):
+    """`Code.from_words` one `BlockVector` at a time: (sorted coordinate tuples
+    of the distinct words, linear, generator), raising as the constructor does."""
+    seen = {}
+    for w in words:
+        v = w if isinstance(w, BlockVector) else ctx.vector(w)
+        if v.context != ctx:
+            raise ValidationError("codeword built over a different context")
+        seen[v.coords] = v
+    if not seen:
+        raise ValidationError("a code needs at least one codeword")
+    coords = sorted(seen)
+    error = linear and closure_error(ctx, coords)
+    if error:
+        raise ValidationError(error)
+    return coords, linear, None
+
+
+def code_from_generator(ctx: SpaceContext, rows, budget: int = DEFAULT_VECTOR_BUDGET):
+    """`Code.from_generator` by `BlockVector` arithmetic: (sorted coordinate
+    tuples of the span, True, the generator vectors)."""
+    gens = tuple(ctx.vector(r) for r in rows)
+    if ctx.m ** len(gens) > budget:
+        raise BudgetError(f"span of {len(gens)} rows over Z_{ctx.m} exceeds budget")
+    span = set()
+    for coeffs in product(range(ctx.m), repeat=len(gens)):
+        v = ctx.zero()
+        for c, g in zip(coeffs, gens):
+            v = v + g.scale(c)
+        span.add(v.coords)
+    return sorted(span), True, gens
+
+
+def graph_code(ctx: SpaceContext, t: int, tail_map):
+    """`perfect_code_from_function` tail by tail, as `code_from_words` returns
+    it (the chain check is not repeated here)."""
+    head_n = ctx.offsets[t]
+    words = []
+    for tail in product(range(ctx.m), repeat=ctx.n - head_n):
+        try:
+            head = tuple(int(c) for c in tail_map[tail])
+        except KeyError:
+            raise ArityError(f"function table misses tail {tail}") from None
+        if len(head) != head_n:
+            raise ArityError(f"head {head} must have {head_n} coordinates")
+        if any(not 0 <= c < ctx.m for c in head):
+            raise ArityError(f"head {head} has coordinates outside 0..{ctx.m - 1}")
+        words.append(head + tail)
+    return code_from_words(ctx, words)
+
+
+def closure_error(ctx: SpaceContext, coords) -> str | None:
+    """The message of the first failure of the linear closure check on the
+    sorted coordinate tuples, by `BlockVector` arithmetic, or None when they
+    form a linear code."""
+    members = set(coords)
+    if ctx.zero().coords not in members:
+        return "linear code must contain the zero vector"
+    words = [ctx.vector(c) for c in coords]
+    for u in words:
+        for c in range(2, ctx.m):
+            if u.scale(c).coords not in members:
+                return f"not closed under scaling: {c} * {u.coords}"
+        for v in words:
+            if (u + v).coords not in members:
+                return f"not closed under addition: {u.coords} + {v.coords}"
+    return None

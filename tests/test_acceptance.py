@@ -7,11 +7,13 @@ equality over fully enumerated domains or fixed seeded samples.
 
 import json
 import random
+import re
 import time
 from itertools import chain, combinations, islice, product
 from math import factorial
 
 import numpy as np
+import pytest
 
 from posetblock import (
     Alphabet,
@@ -46,7 +48,14 @@ from posetblock import (
 from posetblock.cli import main
 from posetblock.tables import block_max_table, digit_table, weight_table
 
-from oracles import difference_rank_table, is_invertible_mod, scan_profiles
+from oracles import (
+    code_from_generator,
+    code_from_words,
+    difference_rank_table,
+    graph_code,
+    is_invertible_mod,
+    scan_profiles,
+)
 
 MAX_EXHAUSTIVE_SIZE = 4096
 ALPHABETS = (2, 3, 4, 5)
@@ -285,7 +294,7 @@ def test_criterion_5_singleton_mds_perfect_suite():
                 violations.append(("singleton violated", name, code.coords_list()))
 
     # chain graph codes are (t * max_weight)-perfect for identity and random maps
-    for t, code in chain_graph_codes(rng):
+    for t, _, code in chain_graph_codes(rng):
         ctx = code.context
         if not is_r_perfect(code, t * ctx.max_weight):
             violations.append(("graph code not perfect", ctx.labeling.k, ctx.m, t))
@@ -327,7 +336,8 @@ def test_min_distances_match_pairwise_on_fixture_bundles():
 
 
 def chain_graph_codes(rng):
-    """The graph codes of criterion 5: identity and random tail maps, every t."""
+    """The graph codes of criterion 5, with t and the tail map: identity and
+    random tail maps, every t."""
     for ctx in chain_fixtures():
         for t in range(ctx.s + 1):
             tables = [identity_tail_map(ctx, t)]
@@ -337,7 +347,7 @@ def chain_graph_codes(rng):
                 key = tuple(sorted(table.items()))
                 if key not in seen:
                     seen.add(key)
-                    yield t, perfect_code_from_function(ctx, t, table)
+                    yield t, table, perfect_code_from_function(ctx, t, table)
 
 
 def test_packing_and_perfection_match_distance_scan():
@@ -354,7 +364,7 @@ def test_packing_and_perfection_match_distance_scan():
             else:
                 yield random_code(ctx, rng.randint(2, min(5, ctx.size)), rng)
 
-    graph_codes = (code for _, code in chain_graph_codes(rng))
+    graph_codes = (code for _, _, code in chain_graph_codes(rng))
     for code in chain(bundle_codes(), graph_codes):
         ctx = code.context
         d1, d2 = scan_profiles(code)
@@ -366,6 +376,114 @@ def test_packing_and_perfection_match_distance_scan():
             rho = int(d2.min()) - 1
             assert packing_radius(code) == rho, where
             assert analyze(code).is_perfect == perfect[rho], where
+
+
+def same_code(build, oracle):
+    """`build()` gives the code `oracle()` describes, or both raise the same
+    exception type with the same message."""
+    try:
+        coords, linear, generator = oracle()
+    except Exception as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            build()
+        return
+    code = build()
+    assert (code.coords_list(), code.size, code.linear, code.generator) == (
+        coords, len(coords), linear, generator
+    )
+
+
+CODE_INPUTS = (
+    "generator", "zero code", "bad generator", "words", "linear words", "bad words",
+    "empty", "span", "span and one word", "span without zero",
+)
+
+
+def code_input(ctx, rng, kind):
+    """A constructor call and the same call to its oracle, as thunks, for one
+    kind of input; bad rows (a wrong length, an out-of-range coordinate or,
+    for words, a foreign-context vector) go in once or twice at random
+    places, so the first one must raise."""
+    n, m = ctx.n, ctx.m
+
+    def coords():
+        return [rng.randrange(m) for _ in range(n)]
+
+    bad = [
+        lambda: [0] * (n + rng.choice((-1, 1))),
+        lambda: [rng.choice((-1, m))] + [0] * (n - 1),
+        lambda: space_context(ctx.poset, ctx.labeling.k, 7).vector(coords()),
+    ]
+
+    def with_bad(rows, kinds):
+        rows = list(rows)
+        for _ in range(rng.randint(1, 2)):
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(kinds)())
+        return rows
+
+    gens = [coords() for _ in range(rng.randrange(3))]
+    if kind in ("generator", "zero code", "bad generator"):
+        if kind == "zero code":
+            gens = []
+        elif kind == "bad generator":
+            gens = with_bad(gens, bad[:2])
+        return lambda: Code.from_generator(ctx, gens), lambda: code_from_generator(ctx, gens)
+    if kind.startswith("span"):
+        span = code_from_generator(ctx, gens)[0]
+        words = span + rng.sample(span, rng.randrange(len(span) + 1))
+        rng.shuffle(words)
+        if kind == "span and one word":
+            words.append(tuple(coords()))  # usually not closed
+        elif kind == "span without zero":
+            words = [w for w in words if any(w)] or [(1,) * n]
+        linear = True
+    else:
+        words = [rng.choice([c, tuple(c), ctx.vector(c)]) for c in (coords() for _ in range(6))]
+        words += rng.sample(words, rng.randrange(len(words) + 1))  # duplicates
+        if kind == "bad words":
+            words = with_bad(words, bad)
+        elif kind == "empty":
+            words = []
+        linear = kind == "linear words" or (kind == "bad words" and rng.random() < 0.5)
+    return (
+        lambda: Code.from_words(ctx, words, linear=linear),
+        lambda: code_from_words(ctx, words, linear=linear),
+    )
+
+
+def test_code_constructors_match_vector_oracles():
+    """`Code.from_words`, `from_generator` and `perfect_code_from_function`
+    against the same constructions one `BlockVector` at a time
+    (`tests/oracles.py`): codewords, size, linear flag and generator, or the
+    exception for a wrong length, an out-of-range coordinate, a foreign-context
+    vector, an empty code and a linear certificate that fails closure.  Three
+    kinds of input on every fixture bundle, every kind on a 70-block binary
+    space, where no vector rank fits in int64, and the chain graph codes with
+    their tail maps, also with a missing tail, a short head or an out-of-range
+    head."""
+    rng = random.Random(57)
+    wide = space_context(Poset.chain(70), (1,) * 70, 2)
+    cases = chain(
+        ((ctx, kind) for ctx in fixture_bundles() for kind in rng.sample(CODE_INPUTS, 3)),
+        ((wide, kind) for kind in CODE_INPUTS for _ in range(5)),
+    )
+    for ctx, kind in cases:
+        same_code(*code_input(ctx, rng, kind))
+    for t, table, code in chain_graph_codes(rng):
+        ctx = code.context
+        same_code(lambda: code, lambda: graph_code(ctx, t, table))
+        faulty = dict(table)
+        for _ in range(rng.randint(1, 2)):
+            tail = rng.choice(sorted(table))
+            head = faulty.pop(tail, table[tail])
+            fault = rng.choice(["missing", "short", "range"])
+            if fault == "short":
+                faulty[tail] = head[:-1] if head else (0,)
+            elif fault == "range":
+                faulty[tail] = head[:-1] + (ctx.m,)
+        same_code(
+            lambda: perfect_code_from_function(ctx, t, faulty), lambda: graph_code(ctx, t, faulty)
+        )
 
 
 _FIXTURE_CODE_CACHE: dict = {}

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from posetblock import codes
 from posetblock.cli import main
 
 SPACE = ("--poset", "--labeling", "--alphabet", "--weight")
@@ -204,3 +205,38 @@ def test_oversized_weight_value_is_a_validation_error(tmp_path, value):
     assert status == 1 and err.getvalue() == ""
     payload = json.loads(out.getvalue())  # one object: a second would not parse
     assert payload["code"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "poset, t, status, message",
+    [
+        ({"s": 40, "covers": [[i, i + 1] for i in range(1, 40)]}, 0, 2,
+         "space has 1099511627776 vectors, budget 1000"),
+        ({"s": 40, "covers": [[i, i + 1] for i in range(1, 40)]}, 41, 1, "block count t=41 outside 0..40"),
+        ({"s": 40, "covers": []}, 0, 1, "operation requires the chain 1 < 2 < .. < s"),
+    ],
+)
+@pytest.mark.parametrize("generate", ["identity", "zero", "random"])
+def test_generated_perfect_code_checked_before_the_map_is_built(
+    monkeypatch, tmp_path, poset, t, status, message, generate
+):
+    def unbuilt(*args):
+        raise AssertionError("tail map built")
+
+    for name in ("identity_tail_map", "zero_tail_map", "random_tail_map"):
+        monkeypatch.setattr(codes, name, unbuilt)
+    documents = {
+        "poset": poset,
+        "labeling": {"k": [1] * 40},
+        "alphabet": {"m": 2},
+        "weight": {"builtin": "hamming"},
+    }
+    argv = ["perfect-construct", "--generate", generate, "--t", str(t), "--budget", "1000"]
+    for name, doc in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == status
+    assert err.getvalue() == ""
+    assert json.loads(out.getvalue())["message"] == message

@@ -41,6 +41,8 @@ from posetblock import (
 from posetblock import codes, tables
 from posetblock.tables import weight_table
 
+from oracles import closure_error
+
 
 def repetition_code(ctx):
     return Code.from_words(ctx, [(0, 0), (1, 1)], linear=True)
@@ -71,6 +73,9 @@ def test_code_canonicalization(chain2_m2):
     code = Code.from_words(chain2_m2, [(1, 1), (0, 0), (1, 1)])
     assert code.coords_list() == [(0, 0), (1, 1)]
     assert code.size == 2
+    same = Code.from_words(chain2_m2, [chain2_m2.vector((1, 1)), (0, 0)])
+    assert code == same and hash(code) == hash(same)
+    assert code != Code.from_words(chain2_m2, [(0, 0), (1, 1)], linear=True)
 
 
 def test_linear_certificate_verified(chain2_m2):
@@ -78,23 +83,6 @@ def test_linear_certificate_verified(chain2_m2):
         Code.from_words(chain2_m2, [(0, 0), (1, 0), (1, 1)], linear=True)
     with pytest.raises(ValidationError):
         Code.from_words(chain2_m2, [(1, 1)], linear=True)
-
-
-def linear_closure_error(code):
-    """The closure loop that `Code.from_words(linear=True)` replaces: the
-    message of the first failure, or None when the code is linear."""
-    ctx = code.context
-    members = {v.coords for v in code.codewords}
-    if ctx.zero().coords not in members:
-        return "linear code must contain the zero vector"
-    for u in code.codewords:
-        for c in range(2, ctx.m):
-            if u.scale(c).coords not in members:
-                return f"not closed under scaling: {c} * {u.coords}"
-        for v in code.codewords:
-            if (u + v).coords not in members:
-                return f"not closed under addition: {u.coords} + {v.coords}"
-    return None
 
 
 @pytest.mark.parametrize("chunk", [codes._CHUNK, 7])
@@ -118,7 +106,7 @@ def test_linear_closure_matches_loop_oracle(monkeypatch, chunk):
                 words.remove(rng.choice(words[1:]))
             elif choice == 2:
                 words.append(ctx.vector_at(rng.randrange(ctx.size)).coords)
-            expected = linear_closure_error(Code.from_words(ctx, words))
+            expected = closure_error(ctx, Code.from_words(ctx, words).coords_list())
             kinds.add(expected and expected.split(":")[0])
             if expected is None:
                 assert Code.from_words(ctx, words, linear=True).linear
@@ -224,12 +212,24 @@ def test_analytics_compute_each_quantity_once(monkeypatch, chain2_m2):
 
     monkeypatch.setattr(codes, "_packing", counted_walk)
     code = repetition_code(chain2_m2)
-    for table in (tables._weight_table, tables._digit_table):
+    caches = (tables._weight_table, tables._digit_table, tables._weight_order)
+    for table in caches:
         table.cache_clear()
-    analyze(code)
-    assert len(walks) == 1
-    assert tables._weight_table.cache_info().misses == 1
-    assert tables._digit_table.cache_info().misses == 1
+
+    def unused(self):
+        raise AssertionError("codewords built as BlockVector objects")
+
+    with monkeypatch.context() as hooked:
+        hooked.setattr(Code, "codewords", property(unused))
+        analyze(code)
+        assert len(walks) == 1
+        assert [table.cache_info().misses for table in caches] == [1, 1, 1]
+        # one weight order per context, shared by the walk and the ball volume
+        other = Code.from_words(space_context(Poset.antichain(2), (1, 1), 2), [(0, 0), (0, 1)])
+        for r in range(3):
+            is_r_perfect(code, r)
+            is_r_perfect(other, r)
+        assert tables._weight_order.cache_info().misses == 2
     walks.clear()
     mds_iff_perfect_check(code)
     assert len(walks) == 1
