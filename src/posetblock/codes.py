@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .errors import (
 )
 from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
-from .tables import block_max_table, digit_rows, digit_table, profile_weights, rank_powers
-from .tables import weight_order, weight_table  # noqa: F401  perfbench wraps codes.weight_table
+from .tables import block_max_table, check_vector_budget, digit_rows, digit_table, distinct_rows
+from .tables import profile_weights, rank_powers, weight_order
+from .tables import weight_table  # noqa: F401  perfbench wraps codes.weight_table
 
 _CHUNK = 1 << 18  # coordinates of the largest vector array one step of a code scan builds
 
@@ -52,7 +53,12 @@ class Code:
         words: Iterable[Sequence[int] | BlockVector],
         linear: bool = False,
     ) -> Code:
-        code = cls._canonical(ctx, _word_rows(ctx, list(words)), linear=linear)
+        rows = _checked_rows(
+            words, ctx.n, ctx.m,
+            lambda w: w.coords if isinstance(w, BlockVector) and w.context == ctx else w,
+            lambda w: _vector(ctx, w).coords,
+        )
+        code = cls._canonical(ctx, rows, linear=linear)
         if linear:
             code._check_linear()
         return code
@@ -75,13 +81,10 @@ class Code:
 
     @classmethod
     def _canonical(cls, ctx: SpaceContext, rows: np.ndarray, **fields) -> Code:
-        """The code of the (K, n) digit rows: sorted by a lexsort, duplicates dropped."""
+        """The code of the (K, n) digit rows: its distinct rows, sorted."""
         if not len(rows):
             raise ValidationError("a code needs at least one codeword")
-        rows = rows[np.lexsort(rows.T[::-1])]
-        distinct = np.ones(len(rows), dtype=bool)
-        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        rows = rows[distinct]
+        rows = rows[distinct_rows(rows)[0]]
         rows.flags.writeable = False
         return cls(ctx, rows, **fields)
 
@@ -96,9 +99,7 @@ class Code:
         words = self.digits
         if words[0].any():
             raise ValidationError("linear code must contain the zero vector")
-        # Python integers where a rank may overflow int64
-        wide = np.int64 if ctx.size <= np.iinfo(np.int64).max else object
-        powers = np.asarray([ctx.m ** (ctx.n - 1 - pos) for pos in range(ctx.n)], dtype=wide)
+        powers = rank_powers(ctx)
         members = words @ powers
         multiples = np.arange(2, ctx.m)[:, None]
         step = max(1, _CHUNK // ((len(multiples) + len(words)) * ctx.n))
@@ -144,20 +145,22 @@ class Code:
         return self.context, self.digits.shape, self.digits.tobytes(), self.linear, self.generator
 
 
-def _word_rows(ctx: SpaceContext, words: list) -> np.ndarray:
-    """The words as a (K, n) int64 array, each checked as `ctx.vector` checks
-    it, or, for a `BlockVector`, to belong to `ctx`.
+def _checked_rows(
+    items: Iterable, width: int, m: int, row: Callable, checked_row: Callable
+) -> np.ndarray:
+    """The rows `row(item)` as a (K, width) int64 array of digits in 0..m-1.
 
-    One array conversion and range check serve well-formed words; whatever
-    they reject is replayed word by word, so the first bad word raises.
+    Rows that the one array conversion or range check rejects are replayed
+    item by item through `checked_row`, which checks an item and returns its
+    row, so the first bad item raises.
     """
-    coords = [w.coords if isinstance(w, BlockVector) and w.context == ctx else w for w in words]
+    items = list(items)
     try:
-        rows = np.array(coords, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
+        rows = np.array(list(map(row, items)), dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError):
         rows = None
-    if rows is None or rows.shape != (len(words), ctx.n) or not _in_range(rows, ctx.m):
-        rows = np.array([_vector(ctx, w).coords for w in words], dtype=np.int64)
+    if rows is None or rows.shape != (len(items), width) or not ((rows >= 0) & (rows < m)).all():
+        rows = np.array(list(map(checked_row, items)), dtype=np.int64)
     return rows
 
 
@@ -166,10 +169,6 @@ def _vector(ctx: SpaceContext, word: Sequence[int] | BlockVector) -> BlockVector
     if v.context != ctx:
         raise ValidationError("codeword built over a different context")
     return v
-
-
-def _in_range(rows: np.ndarray, m: int) -> bool:
-    return bool(((rows >= 0) & (rows < m)).all())
 
 
 @dataclass(frozen=True)
@@ -256,14 +255,10 @@ def singleton_params(code: Code) -> SingletonParams:
 def _singleton_params(code: Code, d: int) -> SingletonParams:
     ctx = code.context
     lam = (d - ctx.min_nonzero_weight) // ctx.max_weight
-    if lam == 0:
-        mu = 0
-    else:
-        k = ctx.labeling.k
-        mu = max(
-            sum(k[i] for i in range(ctx.s) if mask >> i & 1)
-            for mask in ctx.poset.ideal_masks(size=lam)
-        )
+    k = ctx.labeling.k
+    mu = max(
+        sum(k[i] for i in range(ctx.s) if mask >> i & 1) for mask in ctx.poset.ideal_masks(size=lam)
+    )
     bound = ctx.m ** (ctx.n - mu)
     return SingletonParams(lam, mu, bound, code.size == bound)
 
@@ -337,10 +332,13 @@ def _packing(code: Code, budget: int) -> tuple[int, bool]:
 def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     """Full report: distances, Singleton data, packing radius, perfection.
 
-    The minimum distances `d_w` and `d_H` are each computed once, and one
-    walk over the translates of the zero ball (`_packing`) gives both the
-    packing radius and perfection.
+    The vector budget is checked first.  The minimum distances `d_w` and
+    `d_H` are each computed once, and one walk over the translates of the
+    zero ball (`_packing`) gives both the packing radius and perfection.
     """
+    if code.size < 2:
+        raise TooSmallError("minimum distance needs at least two codewords")
+    check_vector_budget(code.context, budget)
     d = min_distance(code)
     params = _singleton_params(code, d)
     rho, is_perfect = _packing(code, budget)
@@ -377,23 +375,15 @@ def perfect_code_from_function(ctx: SpaceContext, t: int, tail_map: TailMap) -> 
     """Graph code {(f(v), v)} over all tails v of the last s - t blocks.
 
     On the natural chain this code is (t * max_weight)-perfect.  The tails
-    are the rows of one digit grid and the heads one array; heads that the
-    array conversion or range check rejects are replayed tail by tail, so the
-    first bad tail raises.
+    are the rows of one digit grid and the heads one checked array (see
+    `_checked_rows`), so the first bad tail raises.
     """
     require_natural_chain(ctx)
     tail_n = tail_length(ctx, t)
     head_n = ctx.n - tail_n
-    tails = digit_rows(ctx.m, tail_n)
-    try:
-        heads = np.array([tail_map[tail] for tail in product(range(ctx.m), repeat=tail_n)],
-                         dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        heads = None
-    if heads is None or heads.shape != (len(tails), head_n) or not _in_range(heads, ctx.m):
-        heads = np.array([_head(ctx, tail_map, tail, head_n)
-                          for tail in product(range(ctx.m), repeat=tail_n)], dtype=np.int64)
-    return Code._canonical(ctx, np.concatenate([heads, tails], axis=1))
+    heads = _checked_rows(product(range(ctx.m), repeat=tail_n), head_n, ctx.m,
+                          tail_map.__getitem__, lambda tail: _head(ctx, tail_map, tail, head_n))
+    return Code._canonical(ctx, np.concatenate([heads, digit_rows(ctx.m, tail_n)], axis=1))
 
 
 def _head(ctx: SpaceContext, tail_map: TailMap, tail: tuple[int, ...], head_n: int) -> tuple:
@@ -410,30 +400,25 @@ def _head(ctx: SpaceContext, tail_map: TailMap, tail: tuple[int, ...], head_n: i
 
 def identity_tail_map(ctx: SpaceContext, t: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Copy shared leading coordinates from tail to head, zero-pad the rest."""
-    head_n = ctx.n - tail_length(ctx, t)
-    out = {}
-    for tail in product(range(ctx.m), repeat=ctx.n - head_n):
-        head = (tail + (0,) * head_n)[:head_n]
-        out[tail] = head
-    return out
+    return _tail_map(ctx, t, lambda tail, head_n: (tail + (0,) * head_n)[:head_n])
 
 
 def zero_tail_map(ctx: SpaceContext, t: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    head_n = ctx.n - tail_length(ctx, t)
-    return {
-        tail: (0,) * head_n
-        for tail in product(range(ctx.m), repeat=ctx.n - head_n)
-    }
+    return _tail_map(ctx, t, lambda _, head_n: (0,) * head_n)
 
 
 def random_tail_map(
     ctx: SpaceContext, t: int, rng: random.Random
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    return _tail_map(ctx, t, lambda _, head_n: tuple(rng.randrange(ctx.m) for _ in range(head_n)))
+
+
+def _tail_map(
+    ctx: SpaceContext, t: int, head: Callable[[tuple[int, ...], int], tuple[int, ...]]
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each tail of the last s - t blocks, in lexicographic order, to `head(tail, head_n)`."""
     head_n = ctx.n - tail_length(ctx, t)
-    return {
-        tail: tuple(rng.randrange(ctx.m) for _ in range(head_n))
-        for tail in product(range(ctx.m), repeat=ctx.n - head_n)
-    }
+    return {tail: head(tail, head_n) for tail in product(range(ctx.m), repeat=ctx.n - head_n)}
 
 
 def reconstruct_tail_map(code: Code, t: int) -> dict[tuple[int, ...], tuple[int, ...]]:

@@ -38,7 +38,7 @@ from .poset import Labeling, Permutation, Poset
 from .space import (
     DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
 )
-from .tables import _order_matrix, digit_table, ideals, rank_powers, weight_table
+from .tables import _order_matrix, digit_table, distinct_rows, ideals, rank_powers, weight_table
 
 _CHUNK = 1 << 18  # entries of the largest rank array one batched step builds
 
@@ -225,8 +225,9 @@ def _triangular_mask(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
         diagonal = [ctx.block_slice(r) for r in ctx.poset.elements if k[r - 1] == size]
         sub = mats[shaped]
         blocks = np.stack([sub[:, d, d] for d in diagonal], axis=1).reshape(-1, size, size)
-        first, inverse = _distinct_rows(blocks @ ctx.m ** np.arange(size - 1, -1, -1))
-        preserved = _isometry_mask(blocks[first], ctx.m, *_tables(_block_space(ctx, size)))
+        weights, digits, powers = _tables(_block_space(ctx, size))
+        first, inverse = distinct_rows(blocks @ powers)
+        preserved = _isometry_mask(blocks[first], ctx.m, weights, digits, powers)
         ok[shaped] = preserved[inverse].reshape(len(shaped), -1).all(axis=1)
     return ok
 
@@ -275,18 +276,6 @@ def _block_maps(ctx: SpaceContext, mats: np.ndarray) -> tuple[np.ndarray, np.nda
     return maximal, np.where(maximal.sum(axis=2) == 1, maximal.argmax(axis=2) + 1, 0)
 
 
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For an integer (N, w) array: the index of one row per distinct row, and
-    for each row the position of its distinct row among those."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 def decompose(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> IsometryDecomposition:
     """Factor an isometry as triangular part composed with automorphism lift."""
     phi = induced_automorphism(T, budget)
@@ -317,7 +306,7 @@ def _factor(
     """
     _, generators = _block_maps(ctx, mats)
     images = np.asarray([phi.image for phi in automorphisms])
-    _, inverse = _distinct_rows(np.concatenate([images, generators]))
+    _, inverse = distinct_rows(np.concatenate([images, generators]))
     # the images are distinct; a block map equal to one shares its position
     lookup = np.full(inverse.max() + 1, -1)
     lookup[inverse[: len(images)]] = np.arange(len(images))
@@ -331,8 +320,8 @@ def _factor(
     wide = np.min_scalar_type(ctx.n * (ctx.m - 1) ** 2)
     recomposed = np.matmul(triangular.astype(wide), lifts.astype(wide)[chosen]) % ctx.m
     exact = (recomposed == mats).all(axis=(1, 2))
-    pairs = np.column_stack([index, triangular @ ctx.m ** np.arange(ctx.n - 1, -1, -1)])
-    unique = len(_distinct_rows(pairs)[0]) == len(pairs)
+    pairs = np.column_stack([index, triangular @ rank_powers(ctx)])
+    unique = len(distinct_rows(pairs)[0]) == len(pairs)
     return index, triangular, member, exact, unique
 
 

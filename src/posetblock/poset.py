@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 from .errors import BudgetError, CycleError, InvalidValueError, OutOfRangeError, SizeMismatchError
 
 AUTOMORPHISM_SIZE_CAP = 10
+IDEAL_CAP = 1 << 20  # most ideals `Poset.ideal_masks` lists
 POSET_ENUMERATION_CAP = 5
 
 
@@ -215,15 +216,23 @@ class Poset:
         return [_to_set(m) for m in self.ideal_masks(size)]
 
     def ideal_masks(self, size: int | None = None) -> list[int]:
-        if self.s > 20:
-            raise BudgetError(f"ideal enumeration over 2^{self.s} subsets refused")
-        out = []
-        for mask in range(1 << self.s):
-            if size is not None and mask.bit_count() != size:
-                continue
-            if self.ideal_mask(mask) == mask:
-                out.append(mask)
-        return out
+        """The ideals as increasing bitmasks, optionally only those of `size` elements.
+
+        Each element, taken by down-set size, extends every ideal built so far
+        that holds its strict down-set; it is maximal in the extension, so each
+        ideal is built once.  With `size`, only smaller ideals are extended.
+        Raises `BudgetError` past `IDEAL_CAP` ideals.
+        """
+        limit = self.s if size is None else size
+        out = [0]
+        for i in sorted(range(self.s), key=lambda i: self.down[i].bit_count()):
+            strict = self.down[i] & ~(1 << i)
+            grown = [mask | 1 << i for mask in out
+                     if mask & strict == strict and mask.bit_count() < limit]
+            if len(out) + len(grown) > IDEAL_CAP:
+                raise BudgetError(f"ideal enumeration refused past {IDEAL_CAP} ideals")
+            out += grown
+        return sorted(mask for mask in out if size is None or mask.bit_count() == size)
 
     # -- shape predicates -----------------------------------------------
 

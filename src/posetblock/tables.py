@@ -55,9 +55,24 @@ def digit_rows(m: int, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def rank_powers(ctx: SpaceContext) -> np.ndarray:
-    powers = np.array([ctx.m ** (ctx.n - 1 - pos) for pos in range(ctx.n)], dtype=np.int64)
+    """Read-only place values m^(n-1-pos) of the ranks: int64, or Python integers past int64."""
+    wide = np.int64 if ctx.size <= np.iinfo(np.int64).max else object
+    powers = np.array([ctx.m ** (ctx.n - 1 - pos) for pos in range(ctx.n)], dtype=wide)
     powers.flags.writeable = False
     return powers
+
+
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an integer (N, w) array: the index of one row per distinct row, in
+    lexicographic order of the rows, and for each row the position of its
+    distinct row among those."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def block_max_table(ctx: SpaceContext, digits: np.ndarray) -> np.ndarray:

@@ -259,3 +259,11 @@ def closure_error(ctx: SpaceContext, coords) -> str | None:
             if (u + v).coords not in members:
                 return f"not closed under addition: {u.coords} + {v.coords}"
     return None
+
+
+def ideal_masks_by_scan(poset, size: int | None = None) -> list[int]:
+    """The ideals of `poset` as increasing bitmasks, by a scan of all 2^s subsets."""
+    return [
+        mask for mask in range(1 << poset.s)
+        if (size is None or mask.bit_count() == size) and poset.ideal_mask(mask) == mask
+    ]

@@ -1,7 +1,9 @@
+import json
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from posetblock import (
@@ -39,7 +41,9 @@ from posetblock import (
     zero_tail_map,
 )
 from posetblock import codes, tables
-from posetblock.tables import weight_table
+from posetblock.cli import main
+from posetblock.codes import SingletonParams
+from posetblock.tables import distinct_rows, weight_table
 
 from oracles import closure_error
 
@@ -492,3 +496,78 @@ def test_hamming_min_distance_uses_same_block_structure():
     # Lee distance sees weight 2 in the top block; Hamming sees ideal size 2
     assert min_distance(code) == 2 + 1 * 2
     assert hamming_min_distance(code) == 2
+
+
+def test_analyze_checks_the_vector_budget_before_any_distance(monkeypatch, tmp_path, capsys):
+    ctx = space_context(Poset.chain(11), (2,) * 11, 2)
+    code = random_code(ctx, 3, random.Random(0))
+
+    def refuse(code):
+        raise AssertionError("a distance scan ran before the budget check")
+
+    monkeypatch.setattr(codes, "_differences", refuse)
+    with pytest.raises(BudgetError, match="^space has 4194304 vectors, budget 1048576$"):
+        analyze(code)
+    with pytest.raises(TooSmallError):
+        analyze(Code.from_words(ctx, code.coords_list()[:1]))
+    docs = {
+        "poset": {"s": 11, "covers": [[i, i + 1] for i in range(1, 11)]},
+        "labeling": {"k": [2] * 11},
+        "alphabet": {"m": 2},
+        "weight": {"builtin": "hamming"},
+        "code": {"codewords": code.digits.tolist()},
+    }
+    args = ["code-report", "--budget", "1000"]
+    for role, doc in docs.items():
+        (tmp_path / f"{role}.json").write_text(json.dumps(doc), encoding="utf-8")
+        args += [f"--{role}", str(tmp_path / f"{role}.json")]
+    assert main(args) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["message"] == "space has 4194304 vectors, budget 1000"
+
+
+def test_singleton_params_past_twenty_blocks():
+    ctx = space_context(Poset.chain(25), (1,) * 25, 2)
+    code = Code.from_words(ctx, [(0,) * 25, (0,) * 24 + (1,)])
+    assert singleton_params(code) == SingletonParams(24, 24, 2, True)
+
+
+def test_tail_maps_keep_their_entries_and_draws():
+    ctx = space_context(Poset.chain(3), (1, 2, 1), 3)
+    heads = {
+        1: {
+            "identity": [(0,)] * 9 + [(1,)] * 9 + [(2,)] * 9,
+            "zero": [(0,)] * 27,
+            "random": [(h,) for h in (2, 1, 2, 1, 2, 2, 2, 2, 0, 1, 0, 2, 0, 0,
+                                      0, 1, 1, 0, 1, 2, 0, 2, 0, 0, 2, 0, 1)],
+        },
+        2: {
+            "identity": [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+            "zero": [(0, 0, 0)] * 3,
+            "random": [(2, 1, 2), (1, 2, 2), (2, 2, 0)],
+        },
+    }
+    for t, expected in heads.items():
+        tails = list(product(range(3), repeat=4 - ctx.offsets[t]))
+        built = {
+            "identity": identity_tail_map(ctx, t),
+            "zero": zero_tail_map(ctx, t),
+            "random": random_tail_map(ctx, t, random.Random(5)),
+        }
+        for name, table in built.items():
+            assert list(table.items()) == list(zip(tails, expected[name])), (t, name)
+
+
+@pytest.mark.parametrize("rows", [
+    [[3, 1, 2]] * 5,
+    [[7, -2]],
+    [[np.iinfo(np.int64).max, 0], [np.iinfo(np.int64).min, 5], [0, np.iinfo(np.int64).min],
+     [np.iinfo(np.int64).max, 0], [-1, np.iinfo(np.int64).max]],
+    np.random.default_rng(3).integers(-4, 4, size=(200, 3)).tolist(),
+])
+def test_distinct_rows_sort_and_deduplicate(rows):
+    keys = np.array(rows, dtype=np.int64)
+    first, inverse = distinct_rows(keys)
+    expected = sorted(set(map(tuple, rows)))
+    assert list(map(tuple, keys[first].tolist())) == expected
+    assert [expected[i] for i in inverse] == list(map(tuple, rows))

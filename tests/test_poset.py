@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+import posetblock.poset as poset_module
 from posetblock import (
     BudgetError,
     CycleError,
@@ -12,6 +13,8 @@ from posetblock import (
     ValidationError,
     all_posets,
 )
+
+from oracles import ideal_masks_by_scan
 
 
 def bfs_down_closure(poset, elements):
@@ -271,6 +274,28 @@ def test_ideals_by_size():
     assert p.ideals() == [frozenset(), {1}, {1, 2}, {1, 2, 3}]
     assert p.ideals(size=2) == [{1, 2}]
     assert len(Poset.antichain(3).ideals()) == 8
+
+
+def test_ideal_masks_match_the_subset_scan():
+    for s in range(1, 5):
+        for p in all_posets(s):
+            assert p.ideal_masks() == ideal_masks_by_scan(p)
+            for size in range(s + 1):
+                assert p.ideal_masks(size) == ideal_masks_by_scan(p, size)
+
+
+def test_ideal_masks_past_twenty_elements():
+    chain = Poset.chain(40)
+    assert chain.ideal_masks() == [(1 << i) - 1 for i in range(41)]
+    assert chain.ideal_masks(size=25) == [(1 << 25) - 1]
+
+
+def test_ideal_masks_refuse_past_the_cap(monkeypatch):
+    monkeypatch.setattr(poset_module, "IDEAL_CAP", 100)
+    assert len(Poset.antichain(6).ideal_masks()) == 64
+    assert len(Poset.antichain(7).ideal_masks(size=2)) == 21
+    with pytest.raises(BudgetError, match="past 100 ideals"):
+        Poset.antichain(7).ideal_masks()
 
 
 def test_all_posets_counts():
