@@ -53,11 +53,9 @@ class Code:
         words: Iterable[Sequence[int] | BlockVector],
         linear: bool = False,
     ) -> Code:
-        rows = _checked_rows(
-            words, ctx.n, ctx.m,
-            lambda w: w.coords if isinstance(w, BlockVector) and w.context == ctx else w,
-            lambda w: _vector(ctx, w).coords,
-        )
+        words = list(words)
+        rows = _checked_rows(lambda: words, ctx.n, ctx.m,
+                             lambda: [_vector(ctx, w).coords for w in words])
         code = cls._canonical(ctx, rows, linear=linear)
         if linear:
             code._check_linear()
@@ -146,22 +144,21 @@ class Code:
 
 
 def _checked_rows(
-    items: Iterable, width: int, m: int, row: Callable, checked_row: Callable
+    rows: Callable[[], list], width: int, m: int, checked_rows: Callable[[], list]
 ) -> np.ndarray:
-    """The rows `row(item)` as a (K, width) int64 array of digits in 0..m-1.
+    """The list `rows()` as a (K, width) int64 array of digits in 0..m-1.
 
-    Rows that the one array conversion or range check rejects are replayed
-    item by item through `checked_row`, which checks an item and returns its
-    row, so the first bad item raises.
+    Only when the one array conversion or range check rejects it is the array
+    built from `checked_rows()`, which checks item by item, so the first bad
+    item raises.
     """
-    items = list(items)
     try:
-        rows = np.array(list(map(row, items)), dtype=np.int64)
+        array = np.array(rows(), dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError):
-        rows = None
-    if rows is None or rows.shape != (len(items), width) or not ((rows >= 0) & (rows < m)).all():
-        rows = np.array(list(map(checked_row, items)), dtype=np.int64)
-    return rows
+        array = None
+    if array is None or array.shape[1:] != (width,) or not ((array >= 0) & (array < m)).all():
+        array = np.array(checked_rows(), dtype=np.int64)
+    return array
 
 
 def _vector(ctx: SpaceContext, word: Sequence[int] | BlockVector) -> BlockVector:
@@ -256,7 +253,7 @@ def _singleton_params(code: Code, d: int) -> SingletonParams:
     ctx = code.context
     lam = (d - ctx.min_nonzero_weight) // ctx.max_weight
     k = ctx.labeling.k
-    mu = max(
+    mu = 0 if lam == 0 else max(
         sum(k[i] for i in range(ctx.s) if mask >> i & 1) for mask in ctx.poset.ideal_masks(size=lam)
     )
     bound = ctx.m ** (ctx.n - mu)
@@ -381,8 +378,9 @@ def perfect_code_from_function(ctx: SpaceContext, t: int, tail_map: TailMap) -> 
     require_natural_chain(ctx)
     tail_n = tail_length(ctx, t)
     head_n = ctx.n - tail_n
-    heads = _checked_rows(product(range(ctx.m), repeat=tail_n), head_n, ctx.m,
-                          tail_map.__getitem__, lambda tail: _head(ctx, tail_map, tail, head_n))
+    tails = list(product(range(ctx.m), repeat=tail_n))
+    heads = _checked_rows(lambda: [tail_map[tail] for tail in tails], head_n, ctx.m,
+                          lambda: [_head(ctx, tail_map, tail, head_n) for tail in tails])
     return Code._canonical(ctx, np.concatenate([heads, digit_rows(ctx.m, tail_n)], axis=1))
 
 
