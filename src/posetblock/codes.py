@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .algebra import WeightFunction
 from .errors import (
     ArityError,
     BudgetError,
@@ -82,7 +83,7 @@ class Code:
         """The code of the (K, n) digit rows: its distinct rows, sorted."""
         if not len(rows):
             raise ValidationError("a code needs at least one codeword")
-        rows = rows[distinct_rows(rows)[0]]
+        rows = rows[distinct_rows(rows, inverse=False)[0]]
         rows.flags.writeable = False
         return cls(ctx, rows, **fields)
 
@@ -270,14 +271,21 @@ def packing_radius(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> int:
 def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -> bool:
     """True when radius-`radius` balls around the codewords partition the space.
 
-    The K balls are translates of B(0, radius) (see `_packing`), so they
+    The K balls are translates of B(0, radius) (see `_walk`), so they
     partition the m^n vectors exactly when K * |B(0, radius)| = m^n and,
-    for K >= 2, they are pairwise disjoint, that is radius <= rho.
+    for K >= 2, they are pairwise disjoint, that is radius <= rho.  The
+    volume is `_chain_volume` on the chain route, else read from the cached
+    weight order.
     """
     if radius < 0:
         raise NegativeRadiusError("radius must be nonnegative")
     ctx = code.context
-    volume = int(np.searchsorted(weight_order(ctx, budget)[1], radius, side="right"))
+    check_vector_budget(ctx, budget)
+    blocks = _chain_blocks(ctx)
+    if blocks:
+        volume = _chain_volume(ctx, blocks, radius)
+    else:
+        volume = int(np.searchsorted(weight_order(ctx, budget)[1], radius, side="right"))
     if code.size * volume != ctx.size:
         return False
     return code.size < 2 or radius <= _packing(code, budget)[0]
@@ -285,7 +293,125 @@ def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -
 
 def _packing(code: Code, budget: int) -> tuple[int, bool]:
     """The packing radius rho of a code with K >= 2 words, and whether it is
-    rho-perfect.
+    rho-perfect, after the vector budget check: by `_chain_packing` on the
+    chain route (see `_chain_blocks`) unless it declines, else by `_walk`."""
+    check_vector_budget(code.context, budget)
+    blocks = _chain_blocks(code.context)
+    found = _chain_packing(code, blocks, budget) if blocks else None
+    return _walk(code, budget) if found is None else found
+
+
+def _chain_blocks(ctx: SpaceContext) -> list[int] | None:
+    """The chain route's blocks (0-based), bottom up, that is by down-set size,
+    when the poset is a chain and the scalar weight is positive off 0; else None.
+
+    Number the blocks 1..s up the chain and let M = max_weight.  A vector x
+    whose top nonzero block is j has the ideal {1..j} with the one maximal
+    block j, so W(x) = M (j - 1) + max_c w(x_c) over the coordinates c of
+    block j, and M (j - 1) < W(x) <= M j.
+    """
+    if not ctx.poset.is_chain or ctx.min_nonzero_weight <= 0:
+        return None
+    return sorted(range(ctx.s), key=lambda i: ctx.poset.down[i].bit_count())
+
+
+def _chain_volume(ctx: SpaceContext, blocks: list[int], radius: int) -> int:
+    """|B(0, radius)| on the chain route, as an exact integer:
+
+        1 + sum_j prod_{i<j} m^(k_i) * (F(min(M, radius - M (j - 1)))^(k_j) - 1)
+
+    over the blocks j with radius - M (j - 1) >= 1, F(v) = #{a : w(a) <= v}.
+
+    Proof: besides 0, the ball holds the x whose top block j has
+    M (j - 1) + max_c w(x_c) <= radius (see `_chain_blocks`).  That asks
+    nothing of the blocks below j, and of block j that it be nonzero with
+    every coordinate of weight at most v = radius - M (j - 1); since
+    w(a) >= 1 off 0, there is such an x only when v >= 1, and since w <= M,
+    F(v) = F(min(M, v)).
+    """
+    volume = below = 1
+    for j, block in enumerate(blocks):
+        room = radius - ctx.max_weight * j
+        if room < 1:
+            break
+        fits = sum(w <= room for w in ctx.weight_fn.table)
+        volume += below * (fits ** ctx.labeling.k[block] - 1)
+        below *= ctx.m ** ctx.labeling.k[block]
+    return volume
+
+
+@lru_cache(maxsize=32)
+def _split_weights(weight: WeightFunction) -> np.ndarray:
+    """Read-only (m,) array: mu(y) = min_a max(w(a), w(y - a)) for y in Z_m,
+    from the m x m table of max(w(a), w(y - a))."""
+    table = np.asarray(weight.table, dtype=np.int64)
+    elements = np.arange(weight.m)
+    mu = np.maximum(table, table[(elements[:, None] - elements) % weight.m]).min(axis=1)
+    mu.flags.writeable = False
+    return mu
+
+
+def _chain_packing(code: Code, blocks: list[int], budget: int) -> tuple[int, bool] | None:
+    """`_packing` on the chain route, with no whole-space table: the packing
+    radius rho = M (j* - 1) + gamma - 1 and whether K |B(0, rho)| = m^n.
+    None when the m x m split table or the coordinates of the in-group pairs
+    would exceed the vector budget.
+
+    Chain form of h.  Balls B(u, r) and B(v, r) meet iff some x has W(x) <= r
+    and W(d - x) <= r, d = v - u, so rho = min_d h(d) - 1 over the nonzero
+    differences d of codewords, with h(d) = min_x max(W(x), W(d - x)).  Let j
+    be the top block of d and mu the split weight (`_split_weights`).  An x
+    nonzero above j makes d - x nonzero there too, and both weigh more than
+    M j (see `_chain_blocks`).  For x zero above j, one of x, d - x is nonzero
+    on block j, and each of them is either zero there or weighs M (j - 1)
+    plus its block-j maximum, so max(W(x), W(d - x)) >= M (j - 1) +
+    max_c max(w(x_c), w(d_c - x_c)) >= M (j - 1) + max_c mu(d_c).  The x that
+    takes on each coordinate c of block j an a attaining mu(d_c), and is 0
+    elsewhere, reaches that bound, since d - x then weighs at most M (j - 1)
+    below block j.  So h(d) = M (j - 1) + max_c mu(d_c), which lies in
+    M (j - 1) + 1 .. M j because mu > 0 off 0: the least h has the least top
+    block j*, and gamma is the least max_c mu(d_c) over the d with top block j*.
+
+    Adjacent rows.  Sort the words with their columns taken from the top
+    block down.  The top block of u - v is that of the first column where
+    u and v differ.  Sorted rows that share a prefix are contiguous, so rows
+    i < k share a prefix exactly when every adjacent pair between them does:
+    their first differing column is the earliest among those adjacent pairs.
+    Hence j* is the least top block of an adjacent pair, and the rows that
+    agree on every block above j* form runs (the groups), cut where an
+    adjacent pair's top block exceeds j*.
+
+    Distinct in a group.  Two rows of a group agree above j*, so their top
+    block is at most j*, and exactly j* by its minimality: their block-j*
+    values differ.  So a group holds at most m^(k_j*) words, and the pairs
+    of rows within groups are exactly the differences with top block j*.
+    """
+    ctx = code.context
+    if ctx.m**2 > budget:
+        return None
+    columns = [c for b in reversed(blocks) for c in range(ctx.offsets[b], ctx.offsets[b + 1])]
+    position = np.repeat(np.arange(ctx.s, 0, -1), [ctx.labeling.k[b] for b in reversed(blocks)])
+    # digits in the smallest signed type that holds a difference of two
+    words = np.take(code.digits.astype(np.min_scalar_type(-ctx.m)), columns, axis=1)
+    words = np.take(words, np.lexsort(words.T[::-1]), axis=0)
+    tops = position[(words[1:] != words[:-1]).argmax(axis=1)]
+    top = int(tops.min())
+    # row i pairs with the rows after it up to its group's last row
+    last = np.flatnonzero(np.append(tops != top, True))
+    later = last[np.searchsorted(last, np.arange(code.size))] - np.arange(code.size)
+    block = words[:, position == top]
+    if later.sum() * block.shape[1] > budget:
+        return None
+    first = np.repeat(np.arange(code.size), later)
+    second = first + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later) + 1
+    pairs = np.take(block, second, axis=0) - np.take(block, first, axis=0)
+    gamma = int(_split_weights(ctx.weight_fn)[pairs % ctx.m].max(axis=1).min())
+    rho = ctx.max_weight * (top - 1) + gamma - 1
+    return rho, code.size * _chain_volume(ctx, blocks, rho) == ctx.size
+
+
+def _walk(code: Code, budget: int) -> tuple[int, bool]:
+    """`_packing` by a walk over the translates of the zero ball.
 
     With d(x, c) = W(x - c), the ball B(c, r) is the translate c + B(0, r).
     The shells of B(0, r), read from the cached weight order, are added in
@@ -330,8 +456,9 @@ def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     """Full report: distances, Singleton data, packing radius, perfection.
 
     The vector budget is checked first.  The minimum distances `d_w` and
-    `d_H` are each computed once, and one walk over the translates of the
-    zero ball (`_packing`) gives both the packing radius and perfection.
+    `d_H` are each computed once, and one `_packing` call gives both the
+    packing radius and perfection: on the chain route from the codewords
+    alone, else by one walk over the translates of the zero ball.
     """
     if code.size < 2:
         raise TooSmallError("minimum distance needs at least two codewords")

@@ -321,7 +321,7 @@ def _factor(
     recomposed = np.matmul(triangular.astype(wide), lifts.astype(wide)[chosen]) % ctx.m
     exact = (recomposed == mats).all(axis=(1, 2))
     pairs = np.column_stack([index, triangular @ rank_powers(ctx)])
-    unique = len(distinct_rows(pairs)[0]) == len(pairs)
+    unique = len(distinct_rows(pairs, inverse=False)[0]) == len(pairs)
     return index, triangular, member, exact, unique
 
 

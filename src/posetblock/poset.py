@@ -218,11 +218,25 @@ class Poset:
     def ideal_masks(self, size: int | None = None) -> list[int]:
         """The ideals as increasing bitmasks, optionally only those of `size` elements.
 
-        Each element, taken by down-set size, extends every ideal built so far
-        that holds its strict down-set; it is maximal in the extension, so each
-        ideal is built once.  With `size`, only smaller ideals are extended.
-        Raises `BudgetError` past `IDEAL_CAP` ideals.
+        Raises `BudgetError` past `IDEAL_CAP` ideals.  Every subset of the
+        minimal elements is an ideal, and every subset S of the maximal
+        elements generates its own ideal (a maximal element lies below S only
+        if it is in S), so with `a` the larger of the two counts there are at
+        least 2^a ideals: past the cap the full listing refuses before it
+        lists anything.
         """
+        if size is None:
+            ends = max(sum(d == 1 << i for i, d in enumerate(self.down)),
+                       sum(u == 1 << i for i, u in enumerate(self.up)))
+            if 1 << ends > IDEAL_CAP:
+                raise BudgetError(f"ideal enumeration refused past {IDEAL_CAP} ideals")
+        return self._listed_ideals(size)
+
+    def _listed_ideals(self, size: int | None) -> list[int]:
+        """`ideal_masks` by growth: each element, taken by down-set size,
+        extends every ideal built so far that holds its strict down-set; it is
+        maximal in the extension, so each ideal is built once.  With `size`,
+        only smaller ideals are extended."""
         limit = self.s if size is None else size
         out = [0]
         for i in sorted(range(self.s), key=lambda i: self.down[i].bit_count()):

@@ -62,17 +62,19 @@ def rank_powers(ctx: SpaceContext) -> np.ndarray:
     return powers
 
 
-def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(keys: np.ndarray, inverse: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """For an integer (N, w) array: the index of one row per distinct row, in
     lexicographic order of the rows, and for each row the position of its
-    distinct row among those."""
+    distinct row among those (None when `inverse` is False)."""
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    if not inverse:
+        return order[new], None
+    positions = np.empty(len(keys), dtype=np.int64)
+    positions[order] = np.cumsum(new) - 1
+    return order[new], positions
 
 
 def block_max_table(ctx: SpaceContext, digits: np.ndarray) -> np.ndarray:

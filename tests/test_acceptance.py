@@ -26,6 +26,7 @@ from posetblock import (
     analyze,
     check_weight_axioms,
     check_weight_axioms_bruteforce,
+    custom_weight,
     enumerate_isometry_group,
     enumerate_linear_codes,
     hamming_min_distance,
@@ -45,8 +46,9 @@ from posetblock import (
     space_context,
     verify_semidirect,
 )
+from posetblock import WeightFunction, codes
 from posetblock.cli import main
-from posetblock.tables import block_max_table, digit_table, weight_table
+from posetblock.tables import block_max_table, digit_table, weight_order, weight_table
 
 from oracles import (
     code_from_generator,
@@ -620,6 +622,66 @@ def test_criterion_6_radius_equality_condition_as_stated():
     if observed != (0, 1, 2) or _chain_radius_terms(lee5, witness) != (1, 1):
         violations.append(("Lee Z_5 witness {0, 2}", observed))
     report(6, "radius equality condition (corrected)", violations)
+
+
+def chain_route_spaces():
+    """The chain fixtures plus Lee Z_6 and Z_7 (gamma >= 2), relabeled chains
+    with unequal blocks, and custom weight tables, one of which splits w(1) = 2
+    as 3 + 3 with w(3) = 1."""
+    relabeled = Poset.from_covers(3, [(3, 1), (1, 2)])
+    lee_wide = [space_context(Poset.chain(2), (1, 1), m, lee_weight(Alphabet(m))) for m in (6, 7)]
+    return chain_fixtures() + lee_wide + [
+        space_context(relabeled, (2, 1, 1), 3),
+        space_context(relabeled, (1, 2, 1), 5, custom_weight(Alphabet(5), [0, 2, 1, 1, 2])),
+        space_context(Poset.from_covers(3, [(2, 3), (3, 1)]), (1, 1, 2), 4,
+                      custom_weight(Alphabet(4), [0, 3, 2, 3])),
+        space_context(Poset.chain(3), (2, 1, 1), 6, lee_weight(Alphabet(6))),
+    ]
+
+
+def test_chain_route_matches_the_walk():
+    """The chain route's packing radius and perfection equal the walk's on
+    linear and nonlinear codes over every chain route space, on every chain
+    graph code with two or more words, and on the t = 1 graph code of chain(10), k = 2, m = 2
+    (K = 2^18)."""
+    rng = random.Random(19)
+
+    def chain_codes():
+        for ctx in chain_route_spaces():
+            for _ in range(20):
+                yield random_code(ctx, rng.randint(2, min(12, ctx.size)), rng)
+                rows = rng.randint(1, 2)
+                yield Code.from_generator(
+                    ctx, [ctx.vector_at(rng.randrange(1, ctx.size)).coords for _ in range(rows)]
+                )
+        yield from (code for _, _, code in chain_graph_codes(rng))
+        wide = space_context(Poset.chain(10), (2,) * 10, 2)
+        yield perfect_code_from_function(wide, 1, identity_tail_map(wide, 1))
+
+    for code in chain_codes():
+        ctx = code.context
+        if code.size < 2:
+            continue
+        found = codes._chain_packing(code, codes._chain_blocks(ctx), 1 << 20)
+        assert found is not None and found == codes._walk(code, 1 << 20), (
+            ctx.poset.down, ctx.labeling.k, ctx.weight_fn.table, code.coords_list()[:8]
+        )
+
+
+def test_split_weights_match_criterion_6():
+    weights = [(0, 2, 1, 1, 2), (0, 3, 2, 3), (0, 1, 2, 3, 2, 1)]
+    for m in range(2, 9):
+        weights += [hamming_weight(Alphabet(m)).table, lee_weight(Alphabet(m)).table]
+    for table in weights:
+        assert codes._split_weights(WeightFunction(table)).tolist() == _split_weights(table)
+
+
+def test_chain_volume_matches_the_weight_order():
+    for ctx in chain_route_spaces():
+        blocks = codes._chain_blocks(ctx)
+        ranked = weight_order(ctx)[1]
+        for r in range(ctx.diameter + 2):
+            assert codes._chain_volume(ctx, blocks, r) == np.searchsorted(ranked, r, side="right")
 
 
 CLI_BUNDLE = {

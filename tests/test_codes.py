@@ -227,13 +227,17 @@ def test_analytics_compute_each_quantity_once(monkeypatch, chain2_m2):
         hooked.setattr(Code, "codewords", property(unused))
         analyze(code)
         assert len(walks) == 1
+        # the chain route reads no whole-space table
+        assert [table.cache_info().misses for table in caches] == [0, 0, 0]
+        other = Code.from_words(space_context(Poset.antichain(2), (1, 1), 2), [(0, 0), (0, 1)])
+        analyze(other)
+        assert len(walks) == 2
         assert [table.cache_info().misses for table in caches] == [1, 1, 1]
         # one weight order per context, shared by the walk and the ball volume
-        other = Code.from_words(space_context(Poset.antichain(2), (1, 1), 2), [(0, 0), (0, 1)])
         for r in range(3):
             is_r_perfect(code, r)
             is_r_perfect(other, r)
-        assert tables._weight_order.cache_info().misses == 2
+        assert tables._weight_order.cache_info().misses == 1
     walks.clear()
     mds_iff_perfect_check(code)
     assert len(walks) == 1
@@ -299,14 +303,62 @@ def test_packing_radius_matches_oracle_on_random_codes(monkeypatch):
     rng = random.Random(11)
     ctx = space_context(Poset.chain(3), (1, 1, 1), 2)
     lee = space_context(Poset.chain(2), (1, 1), 5, lee_weight(Alphabet(5)))
-    # a chunk of 7 coordinates walks a shell in many steps
+    vee = space_context(Poset.from_covers(3, [(1, 3), (2, 3)]), (1, 1, 1), 3)
+    # a chunk of 7 coordinates walks a shell in many steps (the walk runs on vee)
     chunks = (codes._CHUNK, 7)
-    for space in (ctx, lee):
+    for space in (ctx, lee, vee):
         for _ in range(12):
             code = random_code(space, rng.randint(2, 5), rng)
             for chunk in chunks:
                 monkeypatch.setattr(codes, "_CHUNK", chunk)
                 assert packing_radius(code) == packing_radius_oracle(code)
+
+
+def test_chain_route_reads_no_whole_space_table_and_never_walks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the walk ran on the chain route")
+
+    monkeypatch.setattr(codes, "_walk", refuse)
+    caches = (tables._digit_table, tables._weight_table, tables._weight_order)
+    for table in caches:
+        table.cache_clear()
+    rng = random.Random(8)
+    relabeled = space_context(Poset.from_covers(3, [(2, 3), (3, 1)]), (2, 1, 1), 3)
+    lee = space_context(Poset.chain(2), (1, 1), 6, lee_weight(Alphabet(6)))
+    for ctx in (relabeled, lee):
+        generator = ctx.vector_at(rng.randrange(1, ctx.size)).coords
+        for code in (random_code(ctx, 6, rng), Code.from_generator(ctx, [generator])):
+            analyze(code)
+            packing_radius(code)
+            mds_iff_perfect_check(code)
+            for r in range(ctx.diameter + 1):
+                is_r_perfect(code, r)
+    assert [table.cache_info().misses for table in caches] == [0, 0, 0]
+
+
+def test_walk_runs_off_the_chain_route(monkeypatch):
+    walks = []
+    walk = codes._walk
+
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(codes, "_walk", counted_walk)
+    zero = SpaceContext(Poset.chain(1), Labeling((1,)), Alphabet(4), WeightFunction((0, 0, 1, 0)))
+    assert packing_radius(Code.from_words(zero, [(0,), (1,)])) == -1
+    antichain = Code.from_words(space_context(Poset.antichain(2), (1, 1), 3), [(0, 0), (1, 2)])
+    assert packing_radius(antichain) == packing_radius_oracle(antichain)
+    assert len(walks) == 2
+    # the m x m split table past the budget, then the coordinates of the in-group pairs
+    lee5 = Code.from_words(space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
+                           [(0,), (2,)])
+    block = space_context(Poset.chain(1), (3,), 2)
+    whole = Code.from_words(block, [v.coords for v in block.vectors()])
+    assert (packing_radius(lee5, budget=10), packing_radius(whole, budget=8)) == (0, 0)
+    assert len(walks) == 4
+    assert (packing_radius(lee5), packing_radius(whole)) == (0, 0)
+    assert len(walks) == 4
 
 
 def test_is_r_perfect_examples(chain2_m2):
@@ -568,6 +620,8 @@ def test_tail_maps_keep_their_entries_and_draws():
 def test_distinct_rows_sort_and_deduplicate(rows):
     keys = np.array(rows, dtype=np.int64)
     first, inverse = distinct_rows(keys)
+    only_first, none = distinct_rows(keys, inverse=False)
+    assert only_first.tolist() == first.tolist() and none is None
     expected = sorted(set(map(tuple, rows)))
     assert list(map(tuple, keys[first].tolist())) == expected
     assert [expected[i] for i in inverse] == list(map(tuple, rows))

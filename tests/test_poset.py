@@ -298,6 +298,18 @@ def test_ideal_masks_refuse_past_the_cap(monkeypatch):
         Poset.antichain(7).ideal_masks()
 
 
+def test_full_ideal_listing_refuses_wide_posets_before_listing(monkeypatch):
+    def unlisted(self, size):
+        raise AssertionError("ideals listed before the refusal")
+
+    monkeypatch.setattr(Poset, "_listed_ideals", unlisted)
+    # 21 and 40 minimal elements; one minimal element below 21 maximal ones
+    broom = Poset.from_covers(22, [(1, i) for i in range(2, 23)])
+    for poset in (Poset.antichain(21), Poset.antichain(40), broom):
+        with pytest.raises(BudgetError, match=f"^ideal enumeration refused past {1 << 20} ideals$"):
+            poset.ideal_masks()
+
+
 def test_all_posets_counts():
     # numbers of labeled posets on 1..4 points
     assert [sum(1 for _ in all_posets(s)) for s in (1, 2, 3, 4)] == [1, 3, 19, 219]
