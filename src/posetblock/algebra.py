@@ -62,11 +62,11 @@ class WeightFunction:
     def m(self) -> int:
         return len(self.table)
 
-    @property
+    @cached_property
     def max_weight(self) -> int:
         return max(self.table)
 
-    @property
+    @cached_property
     def min_nonzero_weight(self) -> int:
         return min(self.table[1:])
 

@@ -231,7 +231,11 @@ def _cmd_perfect_construct(config: argparse.Namespace) -> dict:
     from .tables import check_vector_budget
     ctx = _context(config)
     if config.map is not None:
+        if config.generate is not None:
+            raise ValidationError("perfect-construct takes --map or --generate, not both")
         t, table = jsonio.tail_map_from_doc(_load(config, "map", config.map))
+        if config.t not in (None, t):
+            raise ValidationError(f"--t {config.t} differs from the map's t={t}")
     elif config.generate is not None:
         if config.t is None:
             raise ValidationError("--generate needs --t")

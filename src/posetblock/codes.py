@@ -207,30 +207,30 @@ def min_distance(code: Code) -> int:
     most about `_CHUNK` coordinates, so no whole-space table is built and the
     space may exceed the vector budget.
     """
-    return _min_weight(code, code.context)
+    return _min_weights(code, code.context)[0]
 
 
 def hamming_min_distance(code: Code) -> int:
-    """Minimum distance of the same codewords under the Hamming scalar weight.
-
-    Runs `min_distance`'s routine with the weights of `code.context.hamming()`.
-    """
-    return _min_weight(code, code.context.hamming())
+    """Minimum distance of the same codewords under the Hamming scalar weight."""
+    return _min_weights(code, code.context.hamming())[0]
 
 
-def _min_weight(code: Code, ctx: SpaceContext) -> int:
-    """Smallest weight in `ctx` of the differences that `min_distance` names."""
+def _min_weights(code: Code, *contexts: SpaceContext) -> list[int]:
+    """For each of `contexts`, the smallest weight of the differences that
+    `min_distance` names, from one walk over them."""
     if code.size < 2:
         raise TooSmallError("minimum distance needs at least two codewords")
-    return min(
-        int(profile_weights(ctx, block_max_table(ctx, rows)).min())
+    steps = [
+        [int(profile_weights(ctx, block_max_table(ctx, rows)).min()) for ctx in contexts]
         for rows in _differences(code)
-    )
+    ]
+    return [min(weights) for weights in zip(*steps)]
 
 
 def _differences(code: Code) -> Iterator[np.ndarray]:
     """The difference rows of `min_distance`, in steps of at most about
-    `_CHUNK` coordinates (one codeword's pairs at the least)."""
+    `_CHUNK` coordinates (one codeword's pairs at the least): the pairs of a
+    step are the upper triangle of its rows against all K words."""
     ctx = code.context
     words = code.digits
     if code.linear:
@@ -239,10 +239,8 @@ def _differences(code: Code) -> Iterator[np.ndarray]:
         return
     step = max(1, _CHUNK // (len(words) * ctx.n))
     for start in range(0, len(words) - 1, step):
-        first = np.arange(start, min(start + step, len(words) - 1))
-        later = np.arange(start + 1, len(words))
-        pairs = (words[first, None, :] - words[None, later, :]) % ctx.m
-        yield pairs[later[None, :] > first[:, None]]
+        first, second = np.triu_indices(min(step, len(words) - 1 - start), start + 1, len(words))
+        yield (words[start + first] - words[second]) % ctx.m
 
 
 def singleton_params(code: Code) -> SingletonParams:
@@ -455,15 +453,17 @@ def _walk(code: Code, budget: int) -> tuple[int, bool]:
 def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     """Full report: distances, Singleton data, packing radius, perfection.
 
-    The vector budget is checked first.  The minimum distances `d_w` and
-    `d_H` are each computed once, and one `_packing` call gives both the
-    packing radius and perfection: on the chain route from the codewords
-    alone, else by one walk over the translates of the zero ball.
+    The vector budget is checked first.  One walk over the codeword
+    differences gives both minimum distances `d_w` and `d_H`, and one
+    `_packing` call gives both the packing radius and perfection: on the
+    chain route from the codewords alone, else by one walk over the
+    translates of the zero ball.
     """
     if code.size < 2:
         raise TooSmallError("minimum distance needs at least two codewords")
-    check_vector_budget(code.context, budget)
-    d = min_distance(code)
+    ctx = code.context
+    check_vector_budget(ctx, budget)
+    d, d_hamming = _min_weights(code, ctx, ctx.hamming())
     params = _singleton_params(code, d)
     rho, is_perfect = _packing(code, budget)
     if rho < 0:
@@ -471,7 +471,7 @@ def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     return CodeReport(
         size=code.size,
         min_distance=d,
-        hamming_min_distance=hamming_min_distance(code),
+        hamming_min_distance=d_hamming,
         ideal_size=params.ideal_size,
         ideal_dimension=params.ideal_dimension,
         singleton_bound=params.bound,

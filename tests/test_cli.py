@@ -115,6 +115,29 @@ def test_perfect_construct_generated(capsys, bundle):
     assert status == 0 and payload["is_r_perfect"]
 
 
+def test_perfect_construct_rejects_a_t_other_than_the_maps(capsys, bundle):
+    status, out = invoke(
+        capsys, bundle, "perfect-construct", "--map", str(bundle / "map.json"), "--t", "2",
+    )
+    payload = json.loads(out)
+    assert status == 1 and payload["code"] == "validation"
+    assert payload["message"] == "--t 2 differs from the map's t=1"
+    status, out = invoke(
+        capsys, bundle, "perfect-construct", "--map", str(bundle / "map.json"), "--t", "1",
+    )
+    assert status == 0 and json.loads(out)["t"] == 1
+
+
+def test_perfect_construct_rejects_map_with_generate(capsys, bundle):
+    status, out = invoke(
+        capsys, bundle, "perfect-construct", "--map", str(bundle / "map.json"),
+        "--generate", "zero", "--t", "1",
+    )
+    payload = json.loads(out)
+    assert status == 1 and payload["code"] == "validation"
+    assert payload["message"] == "perfect-construct takes --map or --generate, not both"
+
+
 def test_isometry_check(capsys, bundle):
     status, out = invoke(
         capsys, bundle, "isometry-check", "--matrix", str(bundle / "matrix.json"),

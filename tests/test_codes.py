@@ -171,13 +171,17 @@ def test_min_distances_match_pairwise_on_random_codes(monkeypatch, chunk):
         space_context(Poset.chain(3), (1, 2, 1), 3, lee_weight(Alphabet(3))),
         space_context(vee, (1, 1, 2), 4, lee_weight(Alphabet(4))),
         space_context(Poset.antichain(3), (2, 1, 1), 5, lee_weight(Alphabet(5))),
+        # a zero off 0: d_H reads nonzero digits, d_w only positive weights
+        space_context(vee, (1, 1, 2), 4, WeightFunction((0, 0, 1, 0))),
     ]
     for ctx in spaces:
         for _ in range(15):
             rows = rng.randint(1, 2)
             gens = [ctx.vector_at(rng.randrange(1, ctx.size)).coords for _ in range(rows)]
             for code in (random_code(ctx, rng.randint(2, 12), rng), Code.from_generator(ctx, gens)):
-                assert (min_distance(code), hamming_min_distance(code)) == pairwise_distances(code)
+                expected = pairwise_distances(code)
+                assert (min_distance(code), hamming_min_distance(code)) == expected
+                assert tuple(codes._min_weights(code, ctx, ctx.hamming())) == expected
 
 
 @pytest.mark.parametrize("poset", [Poset.antichain(70), Poset.chain(70)])
@@ -548,6 +552,24 @@ def test_hamming_min_distance_uses_same_block_structure():
     # Lee distance sees weight 2 in the top block; Hamming sees ideal size 2
     assert min_distance(code) == 2 + 1 * 2
     assert hamming_min_distance(code) == 2
+
+
+def test_analyze_walks_the_differences_once(monkeypatch):
+    walks = []
+    differences = codes._differences
+
+    def counted(code):
+        walks.append(code)
+        return differences(code)
+
+    monkeypatch.setattr(codes, "_differences", counted)
+    ctx = space_context(Poset.from_covers(3, [(1, 3), (2, 3)]), (1, 1, 2), 3)
+    rng = random.Random(5)
+    for code in (random_code(ctx, 9, rng), Code.from_generator(ctx, [(1, 0, 2, 1), (0, 1, 1, 0)])):
+        walks.clear()
+        report = analyze(code)
+        assert walks == [code]
+        assert (report.min_distance, report.hamming_min_distance) == pairwise_distances(code)
 
 
 def test_analyze_checks_the_vector_budget_before_any_distance(monkeypatch, tmp_path, capsys):

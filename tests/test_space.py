@@ -19,6 +19,7 @@ from posetblock import (
     lee_weight,
     space_context,
 )
+from posetblock import algebra
 from posetblock.tables import block_max_table, digit_table, ideals, profile_weights, weight_table
 
 from oracles import supports_union
@@ -196,6 +197,19 @@ def test_ball_monotone_and_translation_invariant():
     center = ctx.vector((2, 0, 1))
     for r in range(ctx.diameter + 1):
         assert len(ball(center, r)) == zero_sizes[r]
+
+
+def test_ball_scans_the_weight_table_once(monkeypatch):
+    ctx = space_context(Poset.antichain(1), (1,), 60, lee_weight(Alphabet(60)))
+    scans = []
+
+    def counted_max(*args, **kwargs):
+        scans.append(args)
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "max", counted_max, raising=False)
+    assert len(ball(ctx.zero(), 3)) == 7
+    assert len(scans) == 1
 
 
 def test_ball_budget():
