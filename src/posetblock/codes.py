@@ -8,6 +8,7 @@ the minimum-weight shortcut for distances.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -29,7 +30,7 @@ from .errors import (
 from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
 from .tables import block_max_table, check_vector_budget, digit_rows, digit_table, distinct_rows
-from .tables import profile_weights, rank_powers, weight_order
+from .tables import ideals, profile_weights, rank_powers, weight_order
 from .tables import weight_table  # noqa: F401  perfbench wraps codes.weight_table
 
 _CHUNK = 1 << 18  # coordinates of the largest vector array one step of a code scan builds
@@ -207,40 +208,69 @@ def min_distance(code: Code) -> int:
     most about `_CHUNK` coordinates, so no whole-space table is built and the
     space may exceed the vector budget.
     """
-    return _min_weights(code, code.context)[0]
+    return _min_weights(code)[0]
 
 
 def hamming_min_distance(code: Code) -> int:
     """Minimum distance of the same codewords under the Hamming scalar weight."""
-    return _min_weights(code, code.context.hamming())[0]
+    return _min_weights(code)[1]
 
 
-def _min_weights(code: Code, *contexts: SpaceContext) -> list[int]:
-    """For each of `contexts`, the smallest weight of the differences that
-    `min_distance` names, from one walk over them."""
+def _min_weights(code: Code) -> tuple[int, int]:
+    """The minimum distances (d_w, d_H): the smallest weight and the smallest
+    Hamming weight of the differences that `min_distance` names, from one
+    walk over them.
+
+    The Hamming scalar weight is 1 off 0, so the Hamming weight of x is the
+    size of the ideal of its support, the blocks where x is nonzero.  When w
+    is positive off 0, that support is also the support of x's block-max
+    profile, so the one `ideals` call that weighs the profile gives d_H too;
+    a zero off 0 takes a second call on the digit supports.
+    """
     if code.size < 2:
         raise TooSmallError("minimum distance needs at least two codewords")
-    steps = [
-        [int(profile_weights(ctx, block_max_table(ctx, rows)).min()) for ctx in contexts]
-        for rows in _differences(code)
-    ]
-    return [min(weights) for weights in zip(*steps)]
+    ctx = code.context
+    least = []
+    for rows in _differences(code):
+        profiles = block_max_table(ctx, rows)
+        closure = ideals(ctx.poset, profiles > 0)
+        weights = profile_weights(ctx, profiles, closure)
+        if ctx.min_nonzero_weight <= 0:
+            closure = ideals(ctx.poset, block_max_table(ctx.hamming(), rows) > 0)
+        sizes = closure[0] @ np.ones(ctx.s, dtype=np.int64)
+        least.append((int(weights.min()), int(sizes.min())))
+    d_w, d_hamming = map(min, zip(*least))
+    return d_w, d_hamming
 
 
 def _differences(code: Code) -> Iterator[np.ndarray]:
     """The difference rows of `min_distance`, in steps of at most about
     `_CHUNK` coordinates (one codeword's pairs at the least): the pairs of a
-    step are the upper triangle of its rows against all K words."""
+    step are those of its rows with the words after them.
+
+    A pair's row holds u - v unreduced, in -(m-1)..m-1, in the smallest
+    signed type that holds it: a table of Z_m indexed by -a < 0 reads its
+    entry m - a from the end, so it weighs the row as (u - v) mod m."""
     ctx = code.context
     words = code.digits
     if code.linear:
         nonzero = words[words.any(axis=1)]
-        yield from np.array_split(nonzero, -(-nonzero.size // _CHUNK))
+        step = max(1, _CHUNK // ctx.n)
+        yield from (nonzero[start : start + step] for start in range(0, len(nonzero), step))
         return
+    words = words.astype(np.min_scalar_type(-ctx.m))
     step = max(1, _CHUNK // (len(words) * ctx.n))
     for start in range(0, len(words) - 1, step):
-        first, second = np.triu_indices(min(step, len(words) - 1 - start), start + 1, len(words))
-        yield (words[start + first] - words[second]) % ctx.m
+        rows = np.arange(start, min(start + step, len(words) - 1))
+        first, second = _pairs(len(words) - 1 - rows)
+        yield np.take(words, start + first, axis=0) - np.take(words, start + second, axis=0)
+
+
+def _pairs(later: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) with i < j <= i + later[i], in order, as two index arrays."""
+    first = np.repeat(np.arange(len(later)), later)
+    second = first + np.arange(1, len(first) + 1) - np.repeat(np.cumsum(later) - later, later)
+    return first, second
 
 
 def singleton_params(code: Code) -> SingletonParams:
@@ -289,14 +319,29 @@ def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -
     return code.size < 2 or radius <= _packing(code, budget)[0]
 
 
-def _packing(code: Code, budget: int) -> tuple[int, bool]:
-    """The packing radius rho of a code with K >= 2 words, and whether it is
-    rho-perfect, after the vector budget check: by `_chain_packing` on the
-    chain route (see `_chain_blocks`) unless it declines, else by `_walk`."""
+def _packing(
+    code: Code, budget: int, distances: bool = False
+) -> tuple[int, bool, int | None, int | None]:
+    """The packing radius rho of a code with K >= 2 words, whether it is
+    rho-perfect, and its minimum distances d_w and d_H, after the vector
+    budget check.
+
+    The distances are found only when `distances` is set (else None).  On
+    the chain route (see `_chain_blocks`) `_chain_packing` gives all four
+    from one sort unless it declines.  Else `_min_weights` gives the
+    distances, which then bound the walk: rho <= d_w - 1, since for
+    codewords u, v at distance d_w the vector v lies in both B(u, d_w) and
+    B(v, d_w).
+    """
     check_vector_budget(code.context, budget)
     blocks = _chain_blocks(code.context)
-    found = _chain_packing(code, blocks, budget) if blocks else None
-    return _walk(code, budget) if found is None else found
+    found = _chain_packing(code, blocks, budget, distances) if blocks else None
+    if found is not None:
+        return found
+    if not distances:
+        return (*_walk(code, budget), None, None)
+    d, d_hamming = _min_weights(code)
+    return (*_walk(code, budget, d), d, d_hamming)
 
 
 def _chain_blocks(ctx: SpaceContext) -> list[int] | None:
@@ -349,11 +394,14 @@ def _split_weights(weight: WeightFunction) -> np.ndarray:
     return mu
 
 
-def _chain_packing(code: Code, blocks: list[int], budget: int) -> tuple[int, bool] | None:
-    """`_packing` on the chain route, with no whole-space table: the packing
-    radius rho = M (j* - 1) + gamma - 1 and whether K |B(0, rho)| = m^n.
-    None when the m x m split table or the coordinates of the in-group pairs
-    would exceed the vector budget.
+def _chain_packing(
+    code: Code, blocks: list[int], budget: int, distances: bool = False
+) -> tuple[int, bool, int | None, int | None] | None:
+    """`_packing` on the chain route, with no whole-space table and no scan
+    of all pairs: the packing radius rho = M (j* - 1) + gamma - 1, whether
+    K |B(0, rho)| = m^n, and when `distances` is set d_w = M (j* - 1) + delta
+    and d_H = j* (else None).  None when the m x m split table or the
+    coordinates of the in-group pairs would exceed the vector budget.
 
     Chain form of h.  Balls B(u, r) and B(v, r) meet iff some x has W(x) <= r
     and W(d - x) <= r, d = v - u, so rho = min_d h(d) - 1 over the nonzero
@@ -383,6 +431,14 @@ def _chain_packing(code: Code, blocks: list[int], budget: int) -> tuple[int, boo
     block is at most j*, and exactly j* by its minimality: their block-j*
     values differ.  So a group holds at most m^(k_j*) words, and the pairs
     of rows within groups are exactly the differences with top block j*.
+
+    Distances.  A difference d with top block j weighs W(d) = M (j - 1) +
+    max_c w(d_c) over block j (see `_chain_blocks`), in M (j - 1) + 1 .. M j,
+    and its support's ideal is the blocks 1..j, so its Hamming weight is j.
+    The least top block over all differences is j*, hence d_H = j*, and the
+    least W is met among the differences with top block j*, the in-group
+    pairs: d_w = M (j* - 1) + delta with delta the least max_c w(d_c) over
+    them.  A pair is weighed with either sign, since w(-a) = w(a).
     """
     ctx = code.context
     if ctx.m**2 > budget:
@@ -397,77 +453,105 @@ def _chain_packing(code: Code, blocks: list[int], budget: int) -> tuple[int, boo
     # row i pairs with the rows after it up to its group's last row
     last = np.flatnonzero(np.append(tops != top, True))
     later = last[np.searchsorted(last, np.arange(code.size))] - np.arange(code.size)
-    block = words[:, position == top]
-    if later.sum() * block.shape[1] > budget:
+    # block j*, one row per coordinate, so the maxima run along rows
+    block = words[:, position == top].T
+    if later.sum() * len(block) > budget:
         return None
-    first = np.repeat(np.arange(code.size), later)
-    second = first + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later) + 1
-    pairs = np.take(block, second, axis=0) - np.take(block, first, axis=0)
-    gamma = int(_split_weights(ctx.weight_fn)[pairs % ctx.m].max(axis=1).min())
-    rho = ctx.max_weight * (top - 1) + gamma - 1
-    return rho, code.size * _chain_volume(ctx, blocks, rho) == ctx.size
+    first, second = _pairs(later)
+    # a difference -a < 0 indexes a table of Z_m from its end, at m - a
+    pairs = np.take(block, second, axis=1) - np.take(block, first, axis=1)
+    gamma = int(_split_weights(ctx.weight_fn)[pairs].max(axis=0).min())
+    below = ctx.max_weight * (top - 1)
+    rho = below + gamma - 1
+    perfect = code.size * _chain_volume(ctx, blocks, rho) == ctx.size
+    if not distances:
+        return rho, perfect, None, None
+    delta = int(np.asarray(ctx.weight_fn.table)[pairs].max(axis=0).min())
+    return rho, perfect, below + delta, top
 
 
-def _walk(code: Code, budget: int) -> tuple[int, bool]:
-    """`_packing` by a walk over the translates of the zero ball.
+def _walk(code: Code, budget: int, cap: int | None = None) -> tuple[int, bool]:
+    """`_packing` by a walk over the translates of the zero ball, stopped
+    below the weight `cap` when given: a vector's weight known to exceed rho.
 
     With d(x, c) = W(x - c), the ball B(c, r) is the translate c + B(0, r).
-    The shells of B(0, r), read from the cached weight order, are added in
-    increasing weight w, and the ranks of their translates c + b marked in
-    one boolean array of m^n entries, in steps of at most about `_CHUNK`
-    coordinates.  Since c + b = c + b' forces b = b', a rank met twice lies
-    in the balls of two distinct codewords: the radius-(w - 1) balls are
-    disjoint and the radius-w balls meet at that vector, so rho = w - 1 for
-    the first weight w at which a translate repeats.  The K translates of
-    B(0, w) are K * |B(0, w)| vectors, so a repeat is certain once that
-    exceeds m^n, and the walk stops there without marking: it never marks
-    more than m^n translates.  The vectors of weight below w are B(0, rho),
-    so the code is rho-perfect exactly when the marked translates,
-    K * |B(0, rho)| disjoint ones, cover m^n.
+    The translates c + b are taken with b in the cached weight order, so
+    their weights W(b) never decrease, and their ranks are marked in one
+    boolean array of m^n entries.  Since c + b = c + b' forces b = b', a
+    rank met twice lies in the balls of two distinct codewords, which meet
+    there exactly from the weight of its second translate on.  So
+    rho = w - 1 for the weight w of the first translate whose rank was met
+    before.  The walk stops at the first shell (vectors of one weight) whose
+    weight w reaches `cap`, or at which the K translates of B(0, w) would be
+    more than m^n vectors, so that a repeat is certain: it never marks more
+    than m^n translates, and with no repeat before, rho = w - 1 for that
+    shell.  The vectors of weight at most rho are B(0, rho), so the code is
+    rho-perfect exactly when K |B(0, rho)| = m^n.
+
+    Rounds.  The translates are marked in rounds of whole rows b of the
+    order, each round at most about `_CHUNK` coordinates (one row's K
+    translates at the least) and at most as many rows as the rounds before
+    it together, or one shell.  So the walk makes few rounds and marks at
+    most about twice the translates up to the first repeat.  In a round, a
+    translate repeats when its rank was marked before or occurs earlier in
+    the round (`np.minimum.at` finds each rank's first place in the round).
+    The ranks need no sum mod m: with digits in 0..m-1, b_i + c_i < 2m, so
+    rank(c + b) = rank(b) + rank(c) - m * sum_i [b_i >= m - c_i] m^(n-1-i).
+
+    A cap of 0, or of 1 when w is positive off 0 (so that B(0, 0) = {0}),
+    fixes rho = cap - 1 and |B(0, rho)| = cap with no walk and no table.
     """
     ctx = code.context
+    if cap == 0 or cap == 1 and ctx.min_nonzero_weight > 0:
+        return cap - 1, code.size * cap == ctx.size
     order, ranked, shells = weight_order(ctx, budget)
     digits = digit_table(ctx, budget)
-    words = code.digits
     powers = rank_powers(ctx)
+    word_ranks = code.digits @ powers
+    complement = (ctx.m - code.digits).astype(digits.dtype)
     marked = np.zeros(ctx.size, dtype=bool)
-    step = max(1, _CHUNK // ctx.n)
-
-    def repeats(low: int, high: int) -> bool:
-        """Mark the translates of the shell order[low:high]; True at the first repeat."""
-        pairs = range(low * code.size, high * code.size)
-        for start in pairs[::step]:
-            row, word = np.divmod(np.arange(start, min(start + step, pairs.stop)), code.size)
-            ranks = np.sort((digits[order[row]] + words[word]) % ctx.m @ powers)
-            if marked[ranks].any() or (ranks[1:] == ranks[:-1]).any():
-                return True
-            marked[ranks] = True
-        return False
-
-    for low, high in zip(shells, shells[1:]):
-        if code.size * high > ctx.size or repeats(low, high):
+    step = max(1, _CHUNK // (code.size * ctx.n))
+    # the walk covers the rows before `stop`: shells below the cap that fit
+    limit = ctx.size // code.size
+    if cap is not None:
+        limit = min(limit, int(np.searchsorted(ranked, cap)))
+    meet = stop = shells[bisect_right(shells, limit) - 1]
+    start = 0
+    while start < stop:
+        end = min(start + step, stop, max(2 * start, shells[bisect_right(shells, start)]))
+        rows = order[start:end]
+        carries = digits[rows][:, None, :] >= complement
+        ranks = (rows[:, None] + word_ranks - ctx.m * (carries @ powers)).ravel()
+        ordered = np.sort(ranks)
+        if marked[ranks].any() or (ordered[1:] == ordered[:-1]).any():
+            places = np.arange(len(ranks))
+            first = np.full(ctx.size, len(ranks))
+            np.minimum.at(first, ranks, places)
+            meet = start + ((first[ranks] < places) | marked[ranks]).argmax() // code.size
             break
-    return int(ranked[low]) - 1, code.size * low == ctx.size
+        marked[ranks] = True
+        start = end
+    rho = int(ranked[meet]) - 1
+    return rho, code.size * int(np.searchsorted(ranked, rho, side="right")) == ctx.size
 
 
 def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     """Full report: distances, Singleton data, packing radius, perfection.
 
-    The vector budget is checked first.  One walk over the codeword
-    differences gives both minimum distances `d_w` and `d_H`, and one
-    `_packing` call gives both the packing radius and perfection: on the
-    chain route from the codewords alone, else by one walk over the
-    translates of the zero ball.
+    One `_packing` call, which checks the vector budget first, gives all of
+    `d_w`, `d_H`, the packing radius and perfection: on the chain route from
+    one sort of the codewords, else from one walk over the codeword
+    differences and one walk over the translates of the zero ball below
+    `d_w`.
     """
     if code.size < 2:
         raise TooSmallError("minimum distance needs at least two codewords")
-    ctx = code.context
-    check_vector_budget(ctx, budget)
-    d, d_hamming = _min_weights(code, ctx, ctx.hamming())
-    params = _singleton_params(code, d)
-    rho, is_perfect = _packing(code, budget)
+    rho, is_perfect, d, d_hamming = _packing(code, budget, True)
     if rho < 0:
-        raise NegativeRadiusError("radius must be nonnegative")
+        raise NegativeRadiusError(
+            "packing radius -1: balls of radius 0 around distinct codewords meet"
+        )
+    params = _singleton_params(code, d)
     return CodeReport(
         size=code.size,
         min_distance=d,

@@ -134,18 +134,20 @@ def _weight_order(ctx: SpaceContext) -> tuple[np.ndarray, np.ndarray, tuple[int,
     return order, ranked, shells
 
 
-def profile_weights(ctx: SpaceContext, profiles: np.ndarray) -> np.ndarray:
+def profile_weights(
+    ctx: SpaceContext, profiles: np.ndarray, closure: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """(N,) array: the weight of each row of the (N, s) block-max profiles.
 
     A profile's support is the set of its nonzero entries.  The weight is
     `max_weight` for each non-maximal element of the support's down-closure
     plus the profile's entries on its maximal elements, as in
-    `SpaceContext.weight_of_profile`; `ideals` gives both sets for all rows.
+    `SpaceContext.weight_of_profile`; `ideals` gives both sets for all rows,
+    unless the caller passes them as `closure`.
     """
-    ideal, maximal = ideals(ctx.poset, profiles > 0)
-    covered = (ideal & ~maximal).sum(axis=1)
-    sums = np.einsum("ij,ij->i", profiles, maximal, dtype=np.int64, casting="same_kind")
-    return ctx.max_weight * covered + sums
+    ideal, maximal = ideals(ctx.poset, profiles > 0) if closure is None else closure
+    covered = (ideal & ~maximal) @ np.full(ctx.s, ctx.max_weight, dtype=np.int64)
+    return covered + (profiles * maximal) @ np.ones(ctx.s, dtype=np.int64)
 
 
 def ideals(poset: Poset, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

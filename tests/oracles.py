@@ -1,7 +1,7 @@
 """Slow reference helpers that only the tests call."""
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
@@ -29,6 +29,16 @@ def det_mod(rows, m: int) -> int:
         sign = 1 if col % 2 == 0 else -1
         total += sign * rows[0][col] * det_mod(minor, m)
     return total % m
+
+
+def pairwise_distances(code):
+    """(d_w, d_H) by `BlockVector.distance` over every pair of codewords."""
+    hamming = code.context.hamming()
+    as_hamming = [hamming.vector(v.coords) for v in code.codewords]
+    return (
+        min(u.distance(v) for u, v in combinations(code.codewords, 2)),
+        min(u.distance(v) for u, v in combinations(as_hamming, 2)),
+    )
 
 
 def is_invertible_mod(rows, m: int) -> bool:

@@ -26,6 +26,7 @@ from posetblock import (
     enumerate_linear_codes,
     finer_mds_check,
     hamming_min_distance,
+    hamming_weight,
     identity_tail_map,
     is_r_perfect,
     lee_weight,
@@ -43,9 +44,9 @@ from posetblock import (
 from posetblock import codes, tables
 from posetblock.cli import main
 from posetblock.codes import SingletonParams
-from posetblock.tables import distinct_rows, weight_table
+from posetblock.tables import distinct_rows, weight_order, weight_table
 
-from oracles import closure_error
+from oracles import closure_error, pairwise_distances
 
 
 def repetition_code(ctx):
@@ -152,16 +153,6 @@ def test_min_distance_linear_shortcut_matches_pairwise():
         assert min_distance(code) == pairwise
 
 
-def pairwise_distances(code):
-    """(d_w, d_H) by `BlockVector.distance` over every pair of codewords."""
-    hamming = code.context.hamming()
-    as_hamming = [hamming.vector(v.coords) for v in code.codewords]
-    return (
-        min(u.distance(v) for u, v in combinations(code.codewords, 2)),
-        min(u.distance(v) for u, v in combinations(as_hamming, 2)),
-    )
-
-
 @pytest.mark.parametrize("chunk", [codes._CHUNK, 5])
 def test_min_distances_match_pairwise_on_random_codes(monkeypatch, chunk):
     monkeypatch.setattr(codes, "_CHUNK", chunk)
@@ -181,7 +172,7 @@ def test_min_distances_match_pairwise_on_random_codes(monkeypatch, chunk):
             for code in (random_code(ctx, rng.randint(2, 12), rng), Code.from_generator(ctx, gens)):
                 expected = pairwise_distances(code)
                 assert (min_distance(code), hamming_min_distance(code)) == expected
-                assert tuple(codes._min_weights(code, ctx, ctx.hamming())) == expected
+                assert codes._min_weights(code) == expected
 
 
 @pytest.mark.parametrize("poset", [Poset.antichain(70), Poset.chain(70)])
@@ -233,9 +224,14 @@ def test_analytics_compute_each_quantity_once(monkeypatch, chain2_m2):
         assert len(walks) == 1
         # the chain route reads no whole-space table
         assert [table.cache_info().misses for table in caches] == [0, 0, 0]
-        other = Code.from_words(space_context(Poset.antichain(2), (1, 1), 2), [(0, 0), (0, 1)])
-        analyze(other)
+        antichain = space_context(Poset.antichain(2), (1, 1), 2)
+        # d_w = 1 fixes the packing radius 0 with no table
+        analyze(Code.from_words(antichain, [(0, 0), (0, 1)]))
         assert len(walks) == 2
+        assert [table.cache_info().misses for table in caches] == [0, 0, 0]
+        other = Code.from_words(antichain, [(0, 0), (1, 1)])
+        analyze(other)
+        assert len(walks) == 3
         assert [table.cache_info().misses for table in caches] == [1, 1, 1]
         # one weight order per context, shared by the walk and the ball volume
         for r in range(3):
@@ -293,13 +289,23 @@ def test_packing_radius_examples(chain2_m2):
     assert packing_radius(whole) == 0
 
 
+NEGATIVE_RADIUS = "^packing radius -1: balls of radius 0 around distinct codewords meet$"
+
+
 def test_packing_radius_minus_one_when_balls_of_radius_zero_meet():
     # w(1) = 0, so B(0, 0) = {0, 1} and the radius-0 balls of 0 and 1 share 1
     ctx = SpaceContext(Poset.chain(1), Labeling((1,)), Alphabet(4), WeightFunction((0, 0, 1, 0)))
     code = Code.from_words(ctx, [(0,), (1,)])
     assert packing_radius(code) == -1
     assert not any(is_r_perfect(code, r) for r in (0, 1, 2))
-    with pytest.raises(NegativeRadiusError):
+    with pytest.raises(NegativeRadiusError, match=NEGATIVE_RADIUS):
+        analyze(code)
+    # the same off the chain route, where d_w = 0 fixes the radius
+    antichain = SpaceContext(Poset.antichain(2), Labeling((1, 1)), Alphabet(4),
+                             WeightFunction((0, 0, 1, 0)))
+    code = Code.from_words(antichain, [(0, 0), (1, 0)])
+    assert (min_distance(code), packing_radius(code)) == (0, -1)
+    with pytest.raises(NegativeRadiusError, match=NEGATIVE_RADIUS):
         analyze(code)
 
 
@@ -363,6 +369,84 @@ def test_walk_runs_off_the_chain_route(monkeypatch):
     assert len(walks) == 4
     assert (packing_radius(lee5), packing_radius(whole)) == (0, 0)
     assert len(walks) == 4
+
+
+def test_chain_fallbacks_scan_the_differences_once(monkeypatch):
+    scans = []
+    differences = codes._differences
+
+    def counted(code):
+        scans.append(code)
+        return differences(code)
+
+    monkeypatch.setattr(codes, "_differences", counted)
+    # the m x m split table past the budget, then the coordinates of the in-group pairs
+    lee5 = Code.from_words(space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
+                           [(0,), (2,)])
+    block = space_context(Poset.chain(1), (3,), 2)
+    whole = Code.from_words(block, [v.coords for v in block.vectors()])
+    for code, budget in ((lee5, 10), (whole, 8)):
+        report = analyze(code, budget)
+        assert scans == [code]
+        scans.clear()
+        assert (report.min_distance, report.hamming_min_distance) == pairwise_distances(code)
+        assert report.packing_radius == packing_radius_oracle(code)
+        assert report.is_perfect == is_r_perfect_oracle(code, report.packing_radius)
+
+
+@pytest.mark.parametrize("chunk", [codes._CHUNK, 5])
+def test_capped_walk_matches_the_walk_and_the_oracle(monkeypatch, chunk):
+    """The walk below d_w gives the radius and perfection of the uncapped walk
+    and of the ball oracle; a chunk of 5 coordinates takes one row a round."""
+    monkeypatch.setattr(codes, "_CHUNK", chunk)
+    rng = random.Random(31)
+    vee = Poset.from_covers(3, [(1, 3), (2, 3)])
+    n_poset = Poset.from_covers(4, [(1, 3), (2, 3), (2, 4)])
+    spaces = [
+        space_context(vee, (1, 1, 2), 3),
+        space_context(n_poset, (1, 2, 1, 1), 2, hamming_weight(Alphabet(2))),
+        space_context(n_poset, (1, 1, 1, 1), 4, lee_weight(Alphabet(4))),
+        space_context(Poset.antichain(3), (2, 1, 1), 3, lee_weight(Alphabet(3))),
+        SpaceContext(vee, Labeling((1, 1, 2)), Alphabet(4), WeightFunction((0, 0, 1, 0))),
+    ]
+    stops = 0
+    for ctx in spaces:
+        for _ in range(12):
+            rows = rng.randint(1, 2)
+            gens = [ctx.vector_at(rng.randrange(1, ctx.size)).coords for _ in range(rows)]
+            for code in (random_code(ctx, rng.randint(2, 12), rng), Code.from_generator(ctx, gens)):
+                if code.size < 2:
+                    continue
+                capped = codes._walk(code, 1 << 20, min_distance(code))
+                assert capped == codes._walk(code, 1 << 20)
+                # the oracle starts at radius 0, which a zero off 0 can make meet
+                meet = any(a & b for a, b in combinations(balls_of(code, 0), 2))
+                assert capped[0] == (-1 if meet else packing_radius_oracle(code))
+                assert capped[1] == (capped[0] >= 0 and is_r_perfect_oracle(code, capped[0]))
+                ranked = weight_order(ctx)[1]
+                volume = np.searchsorted(ranked, capped[0] + 1, side="right")
+                stops += code.size * volume > ctx.size
+    assert stops
+    # the Hamming [7, 4] code: perfect, so the walk ends at the volume stop below d_w = 3
+    hamming7 = space_context(Poset.antichain(7), (1,) * 7, 2)
+    code = Code.from_generator(hamming7, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 1, 0, 1),
+                                          (0, 0, 1, 0, 0, 1, 1), (0, 0, 0, 1, 1, 1, 1)])
+    assert codes._walk(code, 1 << 20, min_distance(code)) == (1, True)
+    assert packing_radius_oracle(code) == 1
+
+
+def test_distance_one_fixes_the_packing_radius_with_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a whole-space table was built")
+
+    monkeypatch.setattr(codes, "digit_table", refuse)
+    monkeypatch.setattr(codes, "weight_order", refuse)
+    ctx = space_context(Poset.antichain(3), (1, 1, 1), 3)
+    for words in ([(0, 0, 0), (0, 0, 1), (2, 2, 2)], [v.coords for v in ctx.vectors()]):
+        code = Code.from_words(ctx, words)
+        report = analyze(code)
+        assert (report.min_distance, report.packing_radius) == (1, 0)
+        assert report.is_perfect == (code.size == ctx.size)
 
 
 def test_is_r_perfect_examples(chain2_m2):
