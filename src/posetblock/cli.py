@@ -106,7 +106,7 @@ def _context(config: argparse.Namespace) -> SpaceContext:
     poset = jsonio.poset_from_doc(_load(config, "poset", config.poset))
     labeling = jsonio.labeling_from_doc(_load(config, "labeling", config.labeling))
     alphabet = jsonio.alphabet_from_doc(_load(config, "alphabet", config.alphabet))
-    weight = jsonio.weight_from_doc(_load(config, "weight", config.weight), alphabet)
+    weight = jsonio.weight_from_doc(_load(config, "weight", config.weight), alphabet, config.budget)
     return SpaceContext(poset, labeling, alphabet, weight)
 
 
@@ -331,7 +331,7 @@ def _cmd_validate(config: argparse.Namespace) -> dict:
     alphabet = attempt("alphabet", jsonio.alphabet_from_doc)
     weight = None
     if alphabet is not None:
-        weight = attempt("weight", lambda doc: jsonio.weight_from_doc(doc, alphabet))
+        weight = attempt("weight", lambda doc: jsonio.weight_from_doc(doc, alphabet, config.budget))
     elif config.weight is not None:
         note("validation", "weight: cannot validate without an alphabet")
 

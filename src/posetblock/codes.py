@@ -84,7 +84,7 @@ class Code:
         """The code of the (K, n) digit rows: its distinct rows, sorted."""
         if not len(rows):
             raise ValidationError("a code needs at least one codeword")
-        rows = rows[distinct_rows(rows, inverse=False)[0]]
+        rows = np.take(rows, distinct_rows(rows, inverse=False)[0], axis=0)
         rows.flags.writeable = False
         return cls(ctx, rows, **fields)
 
@@ -300,48 +300,40 @@ def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -
     """True when radius-`radius` balls around the codewords partition the space.
 
     The K balls are translates of B(0, radius) (see `_walk`), so they
-    partition the m^n vectors exactly when K * |B(0, radius)| = m^n and,
-    for K >= 2, they are pairwise disjoint, that is radius <= rho.  The
-    volume is `_chain_volume` on the chain route, else read from the cached
-    weight order.
+    partition the m^n vectors exactly when K * |B(0, radius)| = m^n (see
+    `_volume`) and, for K >= 2, they are pairwise disjoint, that is
+    radius <= rho.
     """
     if radius < 0:
         raise NegativeRadiusError("radius must be nonnegative")
     ctx = code.context
     check_vector_budget(ctx, budget)
-    blocks = _chain_blocks(ctx)
-    if blocks:
-        volume = _chain_volume(ctx, blocks, radius)
-    else:
-        volume = int(np.searchsorted(weight_order(ctx, budget)[1], radius, side="right"))
-    if code.size * volume != ctx.size:
+    if code.size * _volume(ctx, radius, budget) != ctx.size:
         return False
     return code.size < 2 or radius <= _packing(code, budget)[0]
 
 
 def _packing(
     code: Code, budget: int, distances: bool = False
-) -> tuple[int, bool, int | None, int | None]:
-    """The packing radius rho of a code with K >= 2 words, whether it is
-    rho-perfect, and its minimum distances d_w and d_H, after the vector
-    budget check.
+) -> tuple[int, int | None, int | None]:
+    """The packing radius rho of a code with K >= 2 words and its minimum
+    distances d_w and d_H, after the vector budget check.
 
-    The distances are found only when `distances` is set (else None).  On
-    the chain route (see `_chain_blocks`) `_chain_packing` gives all four
-    from one sort unless it declines.  Else `_min_weights` gives the
-    distances, which then bound the walk: rho <= d_w - 1, since for
-    codewords u, v at distance d_w the vector v lies in both B(u, d_w) and
-    B(v, d_w).
+    On the chain route (see `_chain_blocks`) `_chain_packing` gives all
+    three from one sort unless it declines.  Else the distances are found
+    only when `distances` is set (else None): `_min_weights` gives them,
+    and they then bound the walk: rho <= d_w - 1, since for codewords u, v
+    at distance d_w the vector v lies in both B(u, d_w) and B(v, d_w).
     """
     check_vector_budget(code.context, budget)
     blocks = _chain_blocks(code.context)
-    found = _chain_packing(code, blocks, budget, distances) if blocks else None
+    found = _chain_packing(code, blocks, budget) if blocks else None
     if found is not None:
         return found
     if not distances:
-        return (*_walk(code, budget), None, None)
+        return _walk(code, budget), None, None
     d, d_hamming = _min_weights(code)
-    return (*_walk(code, budget, d), d, d_hamming)
+    return _walk(code, budget, d), d, d_hamming
 
 
 def _chain_blocks(ctx: SpaceContext) -> list[int] | None:
@@ -358,20 +350,29 @@ def _chain_blocks(ctx: SpaceContext) -> list[int] | None:
     return sorted(range(ctx.s), key=lambda i: ctx.poset.down[i].bit_count())
 
 
-def _chain_volume(ctx: SpaceContext, blocks: list[int], radius: int) -> int:
-    """|B(0, radius)| on the chain route, as an exact integer:
+def _volume(ctx: SpaceContext, radius: int, budget: int) -> int:
+    """|B(0, radius)| for radius >= 0, as an exact integer.
+
+    Below the least nonzero weight it is 1: every x != 0 weighs at least
+    that when w is positive off 0 (a zero off 0 makes that least weight at
+    most 0 <= radius).  On the chain route (see `_chain_blocks`) it is
 
         1 + sum_j prod_{i<j} m^(k_i) * (F(min(M, radius - M (j - 1)))^(k_j) - 1)
 
     over the blocks j with radius - M (j - 1) >= 1, F(v) = #{a : w(a) <= v}.
-
     Proof: besides 0, the ball holds the x whose top block j has
     M (j - 1) + max_c w(x_c) <= radius (see `_chain_blocks`).  That asks
     nothing of the blocks below j, and of block j that it be nonzero with
     every coordinate of weight at most v = radius - M (j - 1); since
     w(a) >= 1 off 0, there is such an x only when v >= 1, and since w <= M,
     F(v) = F(min(M, v)).
+    Otherwise it is one `searchsorted` of radius in the cached weight order.
     """
+    if radius < ctx.min_nonzero_weight:
+        return 1
+    blocks = _chain_blocks(ctx)
+    if not blocks:
+        return int(np.searchsorted(weight_order(ctx, budget)[1], radius, side="right"))
     volume = below = 1
     for j, block in enumerate(blocks):
         room = radius - ctx.max_weight * j
@@ -394,14 +395,12 @@ def _split_weights(weight: WeightFunction) -> np.ndarray:
     return mu
 
 
-def _chain_packing(
-    code: Code, blocks: list[int], budget: int, distances: bool = False
-) -> tuple[int, bool, int | None, int | None] | None:
+def _chain_packing(code: Code, blocks: list[int], budget: int) -> tuple[int, int, int] | None:
     """`_packing` on the chain route, with no whole-space table and no scan
-    of all pairs: the packing radius rho = M (j* - 1) + gamma - 1, whether
-    K |B(0, rho)| = m^n, and when `distances` is set d_w = M (j* - 1) + delta
-    and d_H = j* (else None).  None when the m x m split table or the
-    coordinates of the in-group pairs would exceed the vector budget.
+    of all pairs: the packing radius rho = M (j* - 1) + gamma - 1 and the
+    minimum distances d_w = M (j* - 1) + delta and d_H = j*.  None when the
+    m x m split table or the coordinates of the in-group pairs would exceed
+    the vector budget.
 
     Chain form of h.  Balls B(u, r) and B(v, r) meet iff some x has W(x) <= r
     and W(d - x) <= r, d = v - u, so rho = min_d h(d) - 1 over the nonzero
@@ -462,17 +461,14 @@ def _chain_packing(
     pairs = np.take(block, second, axis=1) - np.take(block, first, axis=1)
     gamma = int(_split_weights(ctx.weight_fn)[pairs].max(axis=0).min())
     below = ctx.max_weight * (top - 1)
-    rho = below + gamma - 1
-    perfect = code.size * _chain_volume(ctx, blocks, rho) == ctx.size
-    if not distances:
-        return rho, perfect, None, None
     delta = int(np.asarray(ctx.weight_fn.table)[pairs].max(axis=0).min())
-    return rho, perfect, below + delta, top
+    return below + gamma - 1, below + delta, top
 
 
-def _walk(code: Code, budget: int, cap: int | None = None) -> tuple[int, bool]:
-    """`_packing` by a walk over the translates of the zero ball, stopped
-    below the weight `cap` when given: a vector's weight known to exceed rho.
+def _walk(code: Code, budget: int, cap: int | None = None) -> int:
+    """The packing radius rho by a walk over the translates of the zero ball,
+    stopped below the weight `cap` when given: a vector's weight known to
+    exceed rho.
 
     With d(x, c) = W(x - c), the ball B(c, r) is the translate c + B(0, r).
     The translates c + b are taken with b in the cached weight order, so
@@ -485,8 +481,7 @@ def _walk(code: Code, budget: int, cap: int | None = None) -> tuple[int, bool]:
     weight w reaches `cap`, or at which the K translates of B(0, w) would be
     more than m^n vectors, so that a repeat is certain: it never marks more
     than m^n translates, and with no repeat before, rho = w - 1 for that
-    shell.  The vectors of weight at most rho are B(0, rho), so the code is
-    rho-perfect exactly when K |B(0, rho)| = m^n.
+    shell.
 
     Rounds.  The translates are marked in rounds of whole rows b of the
     order, each round at most about `_CHUNK` coordinates (one row's K
@@ -499,11 +494,11 @@ def _walk(code: Code, budget: int, cap: int | None = None) -> tuple[int, bool]:
     rank(c + b) = rank(b) + rank(c) - m * sum_i [b_i >= m - c_i] m^(n-1-i).
 
     A cap of 0, or of 1 when w is positive off 0 (so that B(0, 0) = {0}),
-    fixes rho = cap - 1 and |B(0, rho)| = cap with no walk and no table.
+    fixes rho = cap - 1 with no walk and no table.
     """
     ctx = code.context
     if cap == 0 or cap == 1 and ctx.min_nonzero_weight > 0:
-        return cap - 1, code.size * cap == ctx.size
+        return cap - 1
     order, ranked, shells = weight_order(ctx, budget)
     digits = digit_table(ctx, budget)
     powers = rank_powers(ctx)
@@ -531,22 +526,21 @@ def _walk(code: Code, budget: int, cap: int | None = None) -> tuple[int, bool]:
             break
         marked[ranks] = True
         start = end
-    rho = int(ranked[meet]) - 1
-    return rho, code.size * int(np.searchsorted(ranked, rho, side="right")) == ctx.size
+    return int(ranked[meet]) - 1
 
 
 def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     """Full report: distances, Singleton data, packing radius, perfection.
 
-    One `_packing` call, which checks the vector budget first, gives all of
-    `d_w`, `d_H`, the packing radius and perfection: on the chain route from
-    one sort of the codewords, else from one walk over the codeword
-    differences and one walk over the translates of the zero ball below
-    `d_w`.
+    One `_packing` call, which checks the vector budget first, gives
+    `d_w`, `d_H` and the packing radius rho: on the chain route from one
+    sort of the codewords, else from one walk over the codeword differences
+    and one walk over the translates of the zero ball below `d_w`.  The
+    code is perfect when K * |B(0, rho)| = m^n (see `_volume`).
     """
     if code.size < 2:
         raise TooSmallError("minimum distance needs at least two codewords")
-    rho, is_perfect, d, d_hamming = _packing(code, budget, True)
+    rho, d, d_hamming = _packing(code, budget, True)
     if rho < 0:
         raise NegativeRadiusError(
             "packing radius -1: balls of radius 0 around distinct codewords meet"
@@ -561,7 +555,7 @@ def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
         singleton_bound=params.bound,
         is_mds=params.is_mds,
         packing_radius=rho,
-        is_perfect=is_perfect,
+        is_perfect=code.size * _volume(code.context, rho, budget) == code.context.size,
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .algebra import Alphabet, WeightFunction, custom_weight, hamming_weight, lee_weight
-from .errors import ParseError, ValidationError
+from .errors import BudgetError, ParseError, ValidationError
 from .poset import Labeling, Poset
 from .space import BlockVector, SpaceContext
 
@@ -78,7 +78,10 @@ def alphabet_from_doc(doc: dict) -> Alphabet:
     return Alphabet(_int_field(doc, "m", "alphabet"))
 
 
-def weight_from_doc(doc: dict, alphabet: Alphabet) -> WeightFunction:
+def weight_from_doc(doc: dict, alphabet: Alphabet, budget: int) -> WeightFunction:
+    """The weight over Z_m; an m above `budget` raises before any table is built."""
+    if alphabet.m > budget:
+        raise BudgetError(f"alphabet has {alphabet.m} elements, budget {budget}")
     if "builtin" in doc:
         name = doc["builtin"]
         if name == "hamming":

@@ -641,10 +641,11 @@ def chain_route_spaces():
 
 
 def test_chain_route_matches_the_walk():
-    """The chain route's packing radius and perfection equal the walk's on
-    linear and nonlinear codes over every chain route space, on every chain
-    graph code with two or more words, and on the t = 1 graph code of chain(10), k = 2, m = 2
-    (K = 2^18)."""
+    """The chain route's packing radius equals the walk's, and perfection
+    through the volume at that radius equals perfection through the weight
+    order (and the d1/d2 scan on small spaces), on linear and nonlinear codes
+    over every chain route space, on every chain graph code with two or more
+    words, and on the t = 1 graph code of chain(10), k = 2, m = 2 (K = 2^18)."""
     rng = random.Random(19)
 
     def chain_codes():
@@ -663,10 +664,16 @@ def test_chain_route_matches_the_walk():
         ctx = code.context
         if code.size < 2:
             continue
+        where = (ctx.poset.down, ctx.labeling.k, ctx.weight_fn.table, code.coords_list()[:8])
         found = codes._chain_packing(code, codes._chain_blocks(ctx), 1 << 20)
-        assert found is not None and found[:2] == codes._walk(code, 1 << 20), (
-            ctx.poset.down, ctx.labeling.k, ctx.weight_fn.table, code.coords_list()[:8]
-        )
+        rho = codes._walk(code, 1 << 20)
+        assert found is not None and found[0] == rho, where
+        perfect = code.size * codes._volume(ctx, rho, 1 << 20) == ctx.size
+        volume = np.searchsorted(weight_order(ctx)[1], rho, side="right")
+        assert perfect == (code.size * volume == ctx.size), where
+        if ctx.size <= 256:
+            d1, d2 = scan_profiles(code)
+            assert perfect == bool((d1 <= rho).all() and (d2 > rho).all()), where
 
 
 def test_chain_route_distances_match_pairwise(monkeypatch):
@@ -711,12 +718,40 @@ def test_split_weights_match_criterion_6():
         assert codes._split_weights(WeightFunction(table)).tolist() == _split_weights(table)
 
 
-def test_chain_volume_matches_the_weight_order():
-    for ctx in chain_route_spaces():
-        blocks = codes._chain_blocks(ctx)
+def test_volume_matches_the_weight_order(monkeypatch):
+    """`codes._volume` equals the `searchsorted` volume of the weight order at
+    every radius up to one past the diameter: in closed form on every chain
+    route space, and by the shortcut below the least nonzero weight, both
+    with no weight order; elsewhere, on the non-chain acceptance fixtures, a
+    V space whose custom Z_5 weight is at least 2 off 0, and a weight with a
+    zero off 0, where the shortcut must not fire."""
+    vee = Poset.from_covers(3, [(1, 3), (2, 3)])
+    custom = space_context(vee, (1, 2, 1), 5, custom_weight(Alphabet(5), [0, 2, 3, 3, 2]))
+    zero = SpaceContext(Poset.antichain(2), Labeling((1, 1)), Alphabet(4),
+                        WeightFunction((0, 0, 1, 0)))
+    others = [ctx for _, ctx, _ in semidirect_fixtures() if not ctx.poset.is_chain]
+    others += [ctx for ctx in fixture_bundles() if not ctx.poset.is_chain and ctx.size <= 64]
+    reads = []
+
+    def counted_order(ctx, budget):
+        reads.append(ctx)
+        return weight_order(ctx, budget)
+
+    monkeypatch.setattr(codes, "weight_order", counted_order)
+    shortcuts = 0
+    for ctx in chain_route_spaces() + [custom, zero] + others:
         ranked = weight_order(ctx)[1]
         for r in range(ctx.diameter + 2):
-            assert codes._chain_volume(ctx, blocks, r) == np.searchsorted(ranked, r, side="right")
+            reads.clear()
+            assert codes._volume(ctx, r, 1 << 20) == np.searchsorted(ranked, r, side="right"), (
+                ctx.poset.down, ctx.labeling.k, ctx.weight_fn.table, r
+            )
+            shortcut = r < ctx.min_nonzero_weight
+            assert reads == ([] if shortcut or ctx.poset.is_chain else [ctx])
+            shortcuts += shortcut
+    # w(1) = w(3) = 0, so B(0, 0) = {0, 1, 3}^2
+    assert codes._volume(zero, 0, 1 << 20) == 9
+    assert shortcuts >= 2
 
 
 CLI_BUNDLE = {

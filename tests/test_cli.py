@@ -403,6 +403,29 @@ def test_budget_exit_code(capsys, bundle):
     assert status == 2 and payload["code"] == "budget"
 
 
+def test_alphabet_past_the_budget_is_refused_before_any_table(capsys, bundle):
+    (bundle / "alphabet.json").write_text(json.dumps({"m": 5000}), encoding="utf-8")
+    status = main([
+        "weigh",
+        "--poset", str(bundle / "poset.json"),
+        "--labeling", str(bundle / "labeling.json"),
+        "--alphabet", str(bundle / "alphabet.json"),
+        "--weight", str(bundle / "weight.json"),
+        "--vector", str(bundle / "zero.json"),
+        "--budget", "1000",
+    ])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out.count("\n") == 1 and captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["code"] == "budget"
+    assert payload["message"] == "alphabet has 5000 elements, budget 1000"
+    status, out = invoke(capsys, bundle, "validate", "--budget", "1000")
+    assert status == 0
+    assert json.loads(out)["diagnostics"] == [
+        {"code": "validation", "message": "weight: alphabet has 5000 elements, budget 1000"}
+    ]
+
+
 def test_reports_are_deterministic(capsys, bundle):
     first = invoke(capsys, bundle, "code-report", "--code", str(bundle / "code.json"))
     second = invoke(capsys, bundle, "code-report", "--code", str(bundle / "code.json"))

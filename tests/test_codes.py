@@ -44,6 +44,7 @@ from posetblock import (
 from posetblock import codes, tables
 from posetblock.cli import main
 from posetblock.codes import SingletonParams
+from posetblock.space import DEFAULT_VECTOR_BUDGET
 from posetblock.tables import distinct_rows, weight_order, weight_table
 
 from oracles import closure_error, pairwise_distances
@@ -396,8 +397,9 @@ def test_chain_fallbacks_scan_the_differences_once(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [codes._CHUNK, 5])
 def test_capped_walk_matches_the_walk_and_the_oracle(monkeypatch, chunk):
-    """The walk below d_w gives the radius and perfection of the uncapped walk
-    and of the ball oracle; a chunk of 5 coordinates takes one row a round."""
+    """The walk below d_w gives the radius of the uncapped walk and of the
+    ball oracle, and perfection through the volume at that radius is the
+    ball oracle's; a chunk of 5 coordinates takes one row a round."""
     monkeypatch.setattr(codes, "_CHUNK", chunk)
     rng = random.Random(31)
     vee = Poset.from_covers(3, [(1, 3), (2, 3)])
@@ -421,18 +423,52 @@ def test_capped_walk_matches_the_walk_and_the_oracle(monkeypatch, chunk):
                 assert capped == codes._walk(code, 1 << 20)
                 # the oracle starts at radius 0, which a zero off 0 can make meet
                 meet = any(a & b for a, b in combinations(balls_of(code, 0), 2))
-                assert capped[0] == (-1 if meet else packing_radius_oracle(code))
-                assert capped[1] == (capped[0] >= 0 and is_r_perfect_oracle(code, capped[0]))
+                assert capped == (-1 if meet else packing_radius_oracle(code))
+                perfect = capped >= 0 and (
+                    code.size * codes._volume(ctx, capped, 1 << 20) == ctx.size
+                )
+                assert perfect == (capped >= 0 and is_r_perfect_oracle(code, capped))
                 ranked = weight_order(ctx)[1]
-                volume = np.searchsorted(ranked, capped[0] + 1, side="right")
+                volume = np.searchsorted(ranked, capped + 1, side="right")
                 stops += code.size * volume > ctx.size
     assert stops
     # the Hamming [7, 4] code: perfect, so the walk ends at the volume stop below d_w = 3
     hamming7 = space_context(Poset.antichain(7), (1,) * 7, 2)
     code = Code.from_generator(hamming7, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 1, 0, 1),
                                           (0, 0, 1, 0, 0, 1, 1), (0, 0, 0, 1, 1, 1, 1)])
-    assert codes._walk(code, 1 << 20, min_distance(code)) == (1, True)
-    assert packing_radius_oracle(code) == 1
+    assert codes._walk(code, 1 << 20, min_distance(code)) == 1
+    assert code.size * codes._volume(hamming7, 1, 1 << 20) == hamming7.size
+    assert packing_radius_oracle(code) == 1 and is_r_perfect_oracle(code, 1)
+
+
+def test_one_volume_per_perfection_test(monkeypatch):
+    """`is_r_perfect` and `analyze` each compute |B(0, r)| once, on the chain
+    route and off it, also when the volume test passes and the packing radius
+    is needed too."""
+    volumes = []
+    volume = codes._volume
+
+    def counted(*args):
+        volumes.append(args)
+        return volume(*args)
+
+    monkeypatch.setattr(codes, "_volume", counted)
+    rng = random.Random(23)
+    chain = space_context(Poset.chain(3), (1, 2, 1), 2)
+    vee = space_context(Poset.from_covers(3, [(1, 3), (2, 3)]), (1, 1, 2), 3)
+    for ctx, perfect in ((chain, perfect_code_from_function(chain, 1, identity_tail_map(chain, 1))),
+                         (vee, Code.from_words(vee, [v.coords for v in vee.vectors()]))):
+        generator = ctx.vector_at(rng.randrange(1, ctx.size)).coords
+        passed = 0
+        for code in (random_code(ctx, 6, rng), Code.from_generator(ctx, [generator]), perfect):
+            for r in range(ctx.diameter + 1):
+                volumes.clear()
+                passed += is_r_perfect(code, r)
+                assert volumes == [(ctx, r, DEFAULT_VECTOR_BUDGET)]
+            volumes.clear()
+            report = analyze(code)
+            assert volumes == [(ctx, report.packing_radius, DEFAULT_VECTOR_BUDGET)]
+        assert passed and analyze(perfect).is_perfect
 
 
 def test_distance_one_fixes_the_packing_radius_with_no_table(monkeypatch):
