@@ -10,13 +10,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations, product
+from functools import cached_property
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import WeightFunction
 from .errors import (
     ArityError,
     BudgetError,
@@ -29,8 +28,9 @@ from .errors import (
 )
 from .poset import Poset
 from .space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
-from .tables import block_max_table, check_vector_budget, digit_rows, digit_table, distinct_rows
-from .tables import ideals, profile_weights, rank_powers, weight_order
+from .tables import block_max_table, check_vector_budget, digit_rows, digit_table
+from .tables import _block_maxima, _level_split, _level_volumes, _levels, _split_tables, ideals
+from .tables import profile_weights, rank_powers, weight_order
 from .tables import weight_table  # noqa: F401  perfbench wraps codes.weight_table
 
 _CHUNK = 1 << 18  # coordinates of the largest vector array one step of a code scan builds
@@ -72,19 +72,21 @@ class Code:
     ) -> Code:
         """Span of the generator rows over Z_m: the product of the m^g x g grid
         of all coefficient rows with the g x n generator, mod m."""
-        gens = tuple(ctx.vector(r) for r in rows)
+        rows = list(rows)
+        matrix = _checked_rows(lambda: rows, ctx.n, ctx.m,
+                               lambda: [ctx.vector(r).coords for r in rows])
+        gens = tuple(BlockVector(ctx, coords) for coords in map(tuple, matrix.tolist()))
         if ctx.m ** len(gens) > budget:
             raise BudgetError(f"span of {len(gens)} rows over Z_{ctx.m} exceeds budget")
-        matrix = np.array([g.coords for g in gens], dtype=np.int64).reshape(len(gens), ctx.n)
         span = digit_rows(ctx.m, len(gens)) @ matrix % ctx.m
         return cls._canonical(ctx, span, linear=True, generator=gens)
 
     @classmethod
     def _canonical(cls, ctx: SpaceContext, rows: np.ndarray, **fields) -> Code:
-        """The code of the (K, n) digit rows: its distinct rows, sorted."""
+        """The code of the (K, n) digit rows: its distinct rows, sorted by rank."""
         if not len(rows):
             raise ValidationError("a code needs at least one codeword")
-        rows = np.take(rows, distinct_rows(rows, inverse=False)[0], axis=0)
+        rows = np.take(rows, np.unique(rows @ rank_powers(ctx), return_index=True)[1], axis=0)
         rows.flags.writeable = False
         return cls(ctx, rows, **fields)
 
@@ -150,17 +152,21 @@ def _checked_rows(
 ) -> np.ndarray:
     """The list `rows()` as a (K, width) int64 array of digits in 0..m-1.
 
-    Only when the one array conversion or range check rejects it is the array
-    built from `checked_rows()`, which checks item by item, so the first bad
-    item raises.
+    Only when the items are not all of length `width`, or the one array
+    conversion or range check rejects them, is the array built from
+    `checked_rows()`, which checks item by item, so the first bad item raises.
     """
+    array = None
     try:
-        array = np.array(rows(), dtype=np.int64)
+        items = rows()
+        if set(map(len, items)) == {width}:
+            array = np.fromiter(chain.from_iterable(items), np.int64, len(items) * width)
+            array = array.reshape(len(items), width)
     except (KeyError, TypeError, ValueError, OverflowError):
-        array = None
-    if array is None or array.shape[1:] != (width,) or not ((array >= 0) & (array < m)).all():
+        pass
+    if array is None or not ((array >= 0) & (array < m)).all():
         array = np.array(checked_rows(), dtype=np.int64)
-    return array
+    return array.reshape(len(array), width)
 
 
 def _vector(ctx: SpaceContext, word: Sequence[int] | BlockVector) -> BlockVector:
@@ -279,12 +285,14 @@ def singleton_params(code: Code) -> SingletonParams:
 
 
 def _singleton_params(code: Code, d: int) -> SingletonParams:
+    """Singleton data of a code with minimum distance d: on a hierarchical
+    poset mu is read from the levels (see `tables._levels`), else from the
+    listed ideals of size lambda."""
     ctx = code.context
     lam = (d - ctx.min_nonzero_weight) // ctx.max_weight
-    k = ctx.labeling.k
-    mu = 0 if lam == 0 else max(
-        sum(k[i] for i in range(ctx.s) if mask >> i & 1) for mask in ctx.poset.ideal_masks(size=lam)
-    )
+    levels, k = _levels(ctx), ctx.labeling.k
+    mu = levels.mu[lam] if levels else max(sum(k[i] for i in range(ctx.s) if mask >> i & 1)
+                                           for mask in ctx.poset.ideal_masks(size=lam))
     bound = ctx.m ** (ctx.n - mu)
     return SingletonParams(lam, mu, bound, code.size == bound)
 
@@ -310,24 +318,23 @@ def is_r_perfect(code: Code, radius: int, budget: int = DEFAULT_VECTOR_BUDGET) -
     check_vector_budget(ctx, budget)
     if code.size * _volume(ctx, radius, budget) != ctx.size:
         return False
-    return code.size < 2 or radius <= _packing(code, budget)[0]
+    return code.size < 2 or radius <= _packing(code, budget, False, radius)[0]
 
 
 def _packing(
-    code: Code, budget: int, distances: bool = False
+    code: Code, budget: int, distances: bool = False, enough: int | None = None
 ) -> tuple[int, int | None, int | None]:
-    """The packing radius rho of a code with K >= 2 words and its minimum
-    distances d_w and d_H, after the vector budget check.
+    """The packing radius rho of a code with K >= 2 words and, when
+    `distances` is set (else maybe None), its minimum distances d_w and d_H,
+    after the vector budget check; given `enough`, the radius may be a lower
+    bound of rho that is at least `enough`.
 
-    On the chain route (see `_chain_blocks`) `_chain_packing` gives all
-    three from one sort unless it declines.  Else the distances are found
-    only when `distances` is set (else None): `_min_weights` gives them,
-    and they then bound the walk: rho <= d_w - 1, since for codewords u, v
-    at distance d_w the vector v lies in both B(u, d_w) and B(v, d_w).
+    `_level_packing` gives them unless it declines.  Else `_min_weights`
+    gives the distances, which then bound the walk: rho <= d_w - 1, since
+    for codewords u, v at distance d_w, v lies in B(u, d_w) and B(v, d_w).
     """
     check_vector_budget(code.context, budget)
-    blocks = _chain_blocks(code.context)
-    found = _chain_packing(code, blocks, budget) if blocks else None
+    found = _level_packing(code, budget, distances, enough)
     if found is not None:
         return found
     if not distances:
@@ -336,133 +343,122 @@ def _packing(
     return _walk(code, budget, d), d, d_hamming
 
 
-def _chain_blocks(ctx: SpaceContext) -> list[int] | None:
-    """The chain route's blocks (0-based), bottom up, that is by down-set size,
-    when the poset is a chain and the scalar weight is positive off 0; else None.
-
-    Number the blocks 1..s up the chain and let M = max_weight.  A vector x
-    whose top nonzero block is j has the ideal {1..j} with the one maximal
-    block j, so W(x) = M (j - 1) + max_c w(x_c) over the coordinates c of
-    block j, and M (j - 1) < W(x) <= M j.
-    """
-    if not ctx.poset.is_chain or ctx.min_nonzero_weight <= 0:
-        return None
-    return sorted(range(ctx.s), key=lambda i: ctx.poset.down[i].bit_count())
-
-
 def _volume(ctx: SpaceContext, radius: int, budget: int) -> int:
     """|B(0, radius)| for radius >= 0, as an exact integer.
 
     Below the least nonzero weight it is 1: every x != 0 weighs at least
     that when w is positive off 0 (a zero off 0 makes that least weight at
-    most 0 <= radius).  On the chain route (see `_chain_blocks`) it is
-
-        1 + sum_j prod_{i<j} m^(k_i) * (F(min(M, radius - M (j - 1)))^(k_j) - 1)
-
-    over the blocks j with radius - M (j - 1) >= 1, F(v) = #{a : w(a) <= v}.
-    Proof: besides 0, the ball holds the x whose top block j has
-    M (j - 1) + max_c w(x_c) <= radius (see `_chain_blocks`).  That asks
-    nothing of the blocks below j, and of block j that it be nonzero with
-    every coordinate of weight at most v = radius - M (j - 1); since
-    w(a) >= 1 off 0, there is such an x only when v >= 1, and since w <= M,
-    F(v) = F(min(M, v)).
-    Otherwise it is one `searchsorted` of radius in the cached weight order.
+    most 0 <= radius).  On a hierarchical poset with w positive off 0 (see
+    `tables._level_volumes`) it is m^(n_<l) N_l(radius - M |L_<l|) for the level l
+    with M |L_<l| < radius <= M |L_<=l|, and m^n past the top level: the
+    ball holds the m^(n_<l) vectors zero from level l up, which weigh at
+    most M |L_<l|, the x of top level l whose block maxima on L_l sum to at
+    most radius - M |L_<l|, and nothing nonzero above l, which weighs more
+    than M |L_<=l|.  Otherwise it is one `searchsorted` of radius in the
+    cached weight order.
     """
+    # read before the shortcut, so that only a space's first volume builds them
+    volumes = _level_volumes(ctx)
     if radius < ctx.min_nonzero_weight:
         return 1
-    blocks = _chain_blocks(ctx)
-    if not blocks:
+    if volumes is None:
         return int(np.searchsorted(weight_order(ctx, budget)[1], radius, side="right"))
-    volume = below = 1
-    for j, block in enumerate(blocks):
-        room = radius - ctx.max_weight * j
-        if room < 1:
-            break
-        fits = sum(w <= room for w in ctx.weight_fn.table)
-        volume += below * (fits ** ctx.labeling.k[block] - 1)
-        below *= ctx.m ** ctx.labeling.k[block]
-    return volume
+    for floor, free, sums, counts in volumes:
+        if radius - floor <= sums[-1]:
+            return free * counts[bisect_right(sums, radius - floor) - 1]
+    return ctx.size
 
 
-@lru_cache(maxsize=32)
-def _split_weights(weight: WeightFunction) -> np.ndarray:
-    """Read-only (m,) array: mu(y) = min_a max(w(a), w(y - a)) for y in Z_m,
-    from the m x m table of max(w(a), w(y - a))."""
-    table = np.asarray(weight.table, dtype=np.int64)
-    elements = np.arange(weight.m)
-    mu = np.maximum(table, table[(elements[:, None] - elements) % weight.m]).min(axis=1)
-    mu.flags.writeable = False
-    return mu
+def _level_packing(
+    code: Code, budget: int, distances: bool, enough: int | None = None
+) -> tuple[int, int | None, int | None] | None:
+    """`_packing` on a hierarchical poset with w positive off 0, with no
+    whole-space table: with l* the least top level of a difference d of
+    codewords, S(d) its sum of block maxima on L_l* (`tables._levels`), and
+    minima over the d of top level l*, rho = M |L_<l*| + min H(d) - 1,
+    d_w = M |L_<l*| + min S(d) and d_H = |L_<l*| + min #{nonzero blocks of
+    d on L_l*}.  None off that route, or when the m x m split tables, those
+    differences or the level's split table would exceed the budget.
 
+    h on levels.  Balls B(u, r) and B(v, r) meet iff some x has W(x) <= r
+    and W(d - x) <= r, d = v - u, so rho = min_d h(d) - 1 with h(d) =
+    min_x max(W(x), W(d - x)).  Let l be the top level of d.  An x nonzero
+    above l makes both x and d - x weigh more than M |L_<=l| >= W(d), the
+    cost of x = 0.  For x zero above l, each y of x, d - x weighs
+    M |L_<l| + S(y) when nonzero on L_l and at most M |L_<l| else, and one
+    of them is nonzero there: max(W(x), W(d - x)) >= M |L_<l| +
+    max(S(x), S(d - x)), with equality for x zero below l.  So h(d) =
+    M |L_<l| + H(d), H(d) = min_x max(S(x), S(d - x)) over x on L_l, in
+    1 .. S(d): the least h has top level l*.  `tables._level_split` finds
+    the least H; on one block H(d) = max_c mu(d_c), since the coordinates
+    split on their own, and when M = 1, w is 1 off 0 and H(d) =
+    ceil(S(d) / 2), S(d) counting the blocks where d is nonzero.
 
-def _chain_packing(code: Code, blocks: list[int], budget: int) -> tuple[int, int, int] | None:
-    """`_packing` on the chain route, with no whole-space table and no scan
-    of all pairs: the packing radius rho = M (j* - 1) + gamma - 1 and the
-    minimum distances d_w = M (j* - 1) + delta and d_H = j*.  None when the
-    m x m split table or the coordinates of the in-group pairs would exceed
-    the vector budget.
-
-    Chain form of h.  Balls B(u, r) and B(v, r) meet iff some x has W(x) <= r
-    and W(d - x) <= r, d = v - u, so rho = min_d h(d) - 1 over the nonzero
-    differences d of codewords, with h(d) = min_x max(W(x), W(d - x)).  Let j
-    be the top block of d and mu the split weight (`_split_weights`).  An x
-    nonzero above j makes d - x nonzero there too, and both weigh more than
-    M j (see `_chain_blocks`).  For x zero above j, one of x, d - x is nonzero
-    on block j, and each of them is either zero there or weighs M (j - 1)
-    plus its block-j maximum, so max(W(x), W(d - x)) >= M (j - 1) +
-    max_c max(w(x_c), w(d_c - x_c)) >= M (j - 1) + max_c mu(d_c).  The x that
-    takes on each coordinate c of block j an a attaining mu(d_c), and is 0
-    elsewhere, reaches that bound, since d - x then weighs at most M (j - 1)
-    below block j.  So h(d) = M (j - 1) + max_c mu(d_c), which lies in
-    M (j - 1) + 1 .. M j because mu > 0 off 0: the least h has the least top
-    block j*, and gamma is the least max_c mu(d_c) over the d with top block j*.
-
-    Adjacent rows.  Sort the words with their columns taken from the top
-    block down.  The top block of u - v is that of the first column where
-    u and v differ.  Sorted rows that share a prefix are contiguous, so rows
-    i < k share a prefix exactly when every adjacent pair between them does:
-    their first differing column is the earliest among those adjacent pairs.
-    Hence j* is the least top block of an adjacent pair, and the rows that
-    agree on every block above j* form runs (the groups), cut where an
-    adjacent pair's top block exceeds j*.
-
-    Distinct in a group.  Two rows of a group agree above j*, so their top
-    block is at most j*, and exactly j* by its minimality: their block-j*
-    values differ.  So a group holds at most m^(k_j*) words, and the pairs
-    of rows within groups are exactly the differences with top block j*.
-
-    Distances.  A difference d with top block j weighs W(d) = M (j - 1) +
-    max_c w(d_c) over block j (see `_chain_blocks`), in M (j - 1) + 1 .. M j,
-    and its support's ideal is the blocks 1..j, so its Hamming weight is j.
-    The least top block over all differences is j*, hence d_H = j*, and the
-    least W is met among the differences with top block j*, the in-group
-    pairs: d_w = M (j* - 1) + delta with delta the least max_c w(d_c) over
-    them.  A pair is weighed with either sign, since w(-a) = w(a).
+    Adjacent rows.  Sort the words with their columns taken level by level
+    from the top; the top level of u - v is that of the first column where
+    they differ.  Sorted rows sharing a prefix are contiguous, so rows i < k
+    share one exactly when every adjacent pair between them does.  So l* is
+    the least top level of an adjacent pair, and the runs of rows agreeing
+    above l* (cut where an adjacent pair's top level exceeds l*) hold
+    exactly the pairs of top level l*.  On one level all pairs do, and a
+    linear code's differences are its nonzero words.  Under w and under the
+    Hamming weight a difference of top level l weighs M |L_<l| + S(d) and
+    |L_<l| plus its nonzero blocks on L_l, so d_w and d_H are met at l*
+    too; w(-a) = w(a), so a pair is weighed with either sign.
     """
     ctx = code.context
-    if ctx.m**2 > budget:
+    levels = _levels(ctx)
+    if levels is None or levels.weights is None or ctx.m**2 > budget:
         return None
-    columns = [c for b in reversed(blocks) for c in range(ctx.offsets[b], ctx.offsets[b + 1])]
-    position = np.repeat(np.arange(ctx.s, 0, -1), [ctx.labeling.k[b] for b in reversed(blocks)])
-    # digits in the smallest signed type that holds a difference of two
-    words = np.take(code.digits.astype(np.min_scalar_type(-ctx.m)), columns, axis=1)
-    words = np.take(words, np.lexsort(words.T[::-1]), axis=0)
-    tops = position[(words[1:] != words[:-1]).argmax(axis=1)]
-    top = int(tops.min())
-    # row i pairs with the rows after it up to its group's last row
-    last = np.flatnonzero(np.append(tops != top, True))
-    later = last[np.searchsorted(last, np.arange(code.size))] - np.arange(code.size)
-    # block j*, one row per coordinate, so the maxima run along rows
-    block = words[:, position == top].T
-    if later.sum() * len(block) > budget:
+    # a linear code's differences are its words after the zero word, which sorts first
+    words = (code.digits[1:] if code.linear else code.digits).astype(np.min_scalar_type(-ctx.m))
+    if levels.columns is not None:
+        words = np.take(words, levels.columns, axis=1)
+    top, later = 0, np.arange(len(words) - 1, -1, -1)
+    if len(levels.blocks) > 1 and code.linear:
+        tops = levels.position[(words != 0).argmax(axis=1)]
+        top = int(tops.min())
+        words = words[tops == top]
+    elif len(levels.blocks) > 1:
+        if levels.columns is not None:
+            words = np.take(words, np.lexsort(words.T[::-1]), axis=0)
+        tops = levels.position[(words[1:] != words[:-1]).argmax(axis=1)]
+        top = int(tops.min())
+        # row i pairs with the rows after it up to its group's last row
+        last = np.flatnonzero(np.append(tops != top, True))
+        later = last[np.searchsorted(last, np.arange(code.size))] - np.arange(code.size)
+    M, below, blocks = ctx.max_weight, levels.below[top], len(levels.blocks[top])
+    if M == 1 and blocks == 1:  # w is 1 off 0: every d of top level l* has S(d) = 1
+        return below, below + 1, below + 1
+    # read on every call with M > 1, so that only a space's first call builds them
+    mu = _split_tables(ctx)[0] if M > 1 else None
+    if enough is not None and M * below >= enough and not distances:
+        return M * below, None, None  # H >= 1, so rho >= M |L_<l*|
+    rows = words[:, slice(*levels.spans[top])]
+    if (len(rows) if code.linear else later.sum()) * rows.shape[1] > budget:
         return None
-    first, second = _pairs(later)
-    # a difference -a < 0 indexes a table of Z_m from its end, at m - a
-    pairs = np.take(block, second, axis=1) - np.take(block, first, axis=1)
-    gamma = int(_split_weights(ctx.weight_fn)[pairs].max(axis=0).min())
-    below = ctx.max_weight * (top - 1)
-    delta = int(np.asarray(ctx.weight_fn.table)[pairs].max(axis=0).min())
-    return below + gamma - 1, below + delta, top
+    if not code.linear:
+        first, second = _pairs(later)
+        # a difference -a < 0 indexes a table of Z_m from its end, at m - a
+        rows = np.take(rows, second, axis=0) - np.take(rows, first, axis=0)
+    # one row per coordinate, so the block maxima run along rows
+    pairs = np.ascontiguousarray(rows.T)
+    if M == 1:  # S counts the blocks where d is nonzero
+        nonzero = _block_maxima(pairs != 0, blocks)
+        least = int(nonzero.sum(axis=0, dtype=np.min_scalar_type(blocks)).min())
+        return below + (least + 1) // 2 - 1, below + least, below + least
+    if distances:
+        maxima = _block_maxima(levels.weights.take(pairs), blocks)
+        least = int(maxima.sum(axis=0, dtype=np.min_scalar_type(M * blocks)).min())
+        nonzero = 1 if blocks == 1 else int((maxima > 0).sum(axis=0).min())
+    if distances and least == 1:
+        h = 1  # 1 <= H(d) <= S(d)
+    elif blocks == 1:
+        h = int(mu.take(pairs).max(axis=0).min())
+    elif (h := _level_split(ctx, pairs, blocks, budget)) is None:
+        return None
+    rho = M * below + h - 1
+    return (rho, M * below + least, below + nonzero) if distances else (rho, None, None)
 
 
 def _walk(code: Code, budget: int, cap: int | None = None) -> int:
@@ -533,10 +529,10 @@ def analyze(code: Code, budget: int = DEFAULT_VECTOR_BUDGET) -> CodeReport:
     """Full report: distances, Singleton data, packing radius, perfection.
 
     One `_packing` call, which checks the vector budget first, gives
-    `d_w`, `d_H` and the packing radius rho: on the chain route from one
-    sort of the codewords, else from one walk over the codeword differences
-    and one walk over the translates of the zero ball below `d_w`.  The
-    code is perfect when K * |B(0, rho)| = m^n (see `_volume`).
+    `d_w`, `d_H` and the packing radius rho: on the level route from the
+    codewords, else from one walk over the codeword differences and one
+    walk over the translates of the zero ball below `d_w`.  The code is
+    perfect when K * |B(0, rho)| = m^n (see `_volume`).
     """
     if code.size < 2:
         raise TooSmallError("minimum distance needs at least two codewords")
@@ -576,9 +572,10 @@ def tail_length(ctx: SpaceContext, t: int) -> int:
 def perfect_code_from_function(ctx: SpaceContext, t: int, tail_map: TailMap) -> Code:
     """Graph code {(f(v), v)} over all tails v of the last s - t blocks.
 
-    On the natural chain this code is (t * max_weight)-perfect.  The tails
-    are the rows of one digit grid and the heads one checked array (see
-    `_checked_rows`), so the first bad tail raises.
+    On the natural chain this code is (t * max_weight)-perfect.  The heads
+    are one checked array (see `_checked_rows`), so the first bad tail
+    raises.  The words are distinct, since their tails are, so they need
+    only a sort by rank.
     """
     require_natural_chain(ctx)
     tail_n = tail_length(ctx, t)
@@ -586,7 +583,12 @@ def perfect_code_from_function(ctx: SpaceContext, t: int, tail_map: TailMap) -> 
     tails = list(product(range(ctx.m), repeat=tail_n))
     heads = _checked_rows(lambda: [tail_map[tail] for tail in tails], head_n, ctx.m,
                           lambda: [_head(ctx, tail_map, tail, head_n) for tail in tails])
-    return Code._canonical(ctx, np.concatenate([heads, digit_rows(ctx.m, tail_n)], axis=1))
+    # the tails run in rank order, so (head, tail) has rank rank(head, 0) + index of tail
+    powers = rank_powers(ctx)
+    ranks = np.sort(heads @ powers[:head_n] + np.arange(len(tails)))
+    digits = (ranks[:, None] // powers % ctx.m).astype(np.int64, copy=False)
+    digits.flags.writeable = False
+    return Code(ctx, digits)
 
 
 def _head(ctx: SpaceContext, tail_map: TailMap, tail: tuple[int, ...], head_n: int) -> tuple:

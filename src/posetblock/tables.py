@@ -1,6 +1,9 @@
 """Vectorized whole-space tables (digits, weights and the weight order, each
 built at most once per context and cached), profile weights and poset ideals
-used by code analytics, verification and the isometry layer.
+used by code analytics, verification and the isometry layer, and the small
+per-context data of the level route of `codes` (the levels of a hierarchical
+poset and the split tables of the scalar weight), each cached per context
+and built whole by its first use.
 
 All tables index vectors by their lexicographic rank: coordinate tuples
 are read as base-m digits, most significant first, matching the order of
@@ -9,7 +12,10 @@ are read as base-m digits, most significant first, matching the order of
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +62,9 @@ def digit_rows(m: int, width: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def rank_powers(ctx: SpaceContext) -> np.ndarray:
     """Read-only place values m^(n-1-pos) of the ranks: int64, or Python integers past int64."""
-    wide = np.int64 if ctx.size <= np.iinfo(np.int64).max else object
-    powers = np.array([ctx.m ** (ctx.n - 1 - pos) for pos in range(ctx.n)], dtype=wide)
+    m, n = ctx.m, ctx.n
+    powers = np.array([m**pos for pos in range(n - 1, -1, -1)],
+                      dtype=np.int64 if m**n < 1 << 63 else object)
     powers.flags.writeable = False
     return powers
 
@@ -171,3 +178,183 @@ def _order_matrix(poset: Poset) -> np.ndarray:
     below = np.array([[down >> i & 1 for i in range(poset.s)] for down in poset.down], np.float32)
     below.flags.writeable = False
     return below
+
+
+class _Levels(NamedTuple):
+    """What `codes` reads of the levels L_1 < ... < L_t (see `_levels`); the
+    arrays are read-only.
+
+    blocks: each level's blocks (0-based), bottom up.
+    below: |L_<l|, the blocks under level l.
+    mu: for each ideal size 0..s, the largest dimension sum of an ideal.
+    columns: the layout of the coordinates: level by level from the top,
+        each block's coordinates padded to the level's widest block by
+        repeating its last one (None when that is the identity).
+    position: the level of each column of the layout.
+    spans: each level's slice of the layout.
+    weights: the scalar weight table, None when w has a zero off 0.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]
+    below: tuple[int, ...]
+    mu: tuple[int, ...]
+    columns: np.ndarray | None
+    position: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+    weights: np.ndarray | None
+
+
+@lru_cache(maxsize=32)
+def _levels(ctx: SpaceContext) -> _Levels | None:
+    """The levels of a hierarchical poset, else None, with the layout that
+    `codes` reads, all built at once.
+
+    The poset is hierarchical when its elements fall into levels
+    L_1 < ... < L_t, each level's strict down-set being the union of the
+    levels below it: L_1 holds the elements with an empty strict down-set,
+    and L_(l+1) those whose strict down-set is L_1 u ... u L_l.  Chains
+    have one block per level, antichains one level.
+
+    Weight.  Let x != 0 have top nonzero level l and M = max_weight.  Every
+    block of L_l lies above all of L_<l, so the ideal of x's support is L_<l
+    plus the nonzero blocks of x in L_l, and these are its maximal elements:
+    W(x) = M |L_<l| + S(x), S(x) the sum over i in L_l of bm_i(x), the
+    block-i maximum of w.  When w is positive off 0, bm_i(x) >= 1 on a
+    nonzero block, so M |L_<l| < W(x) <= M |L_<=l|.
+
+    mu.  An ideal holding an element of L_j holds all of L_<j, so a nonempty
+    ideal is L_<j plus a nonempty part of L_j, and its size fixes j: the
+    best ideal of size lambda is the levels that lambda covers whole plus
+    the largest blocks of the next level.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, down in enumerate(ctx.poset.down):
+        groups.setdefault(down & ~(1 << i), []).append(i)
+    blocks, under = [], 0
+    for strict in sorted(groups, key=int.bit_count):
+        if strict != under:
+            return None
+        blocks.append(tuple(groups[strict]))
+        under |= sum(1 << i for i in groups[strict])
+    k, offsets, M = ctx.labeling.k, ctx.offsets, ctx.max_weight
+    below, mu, pieces = [], [0], []
+    for level in blocks:
+        dims = sorted([k[i] for i in level], reverse=True)
+        below.append(len(mu) - 1)
+        for dim in dims:
+            mu.append(mu[-1] + dim)
+        piece = []
+        for i in level:
+            piece += range(offsets[i], offsets[i + 1])
+            piece += [offsets[i + 1] - 1] * (dims[0] - k[i])
+        pieces.append(piece)
+    layout, position, spans = [], [], [(0, 0)] * len(blocks)
+    for l in reversed(range(len(blocks))):
+        spans[l] = (len(layout), len(layout) + len(pieces[l]))
+        layout += pieces[l]
+        position += [l] * len(pieces[l])
+    columns = None if layout == list(range(ctx.n)) else np.array(layout)
+    position = np.array(position)
+    weights = None
+    if ctx.min_nonzero_weight > 0:
+        weights = np.asarray(ctx.weight_fn.table, dtype=np.min_scalar_type(M))
+    for array in (columns, position, weights):
+        if array is not None:
+            array.flags.writeable = False
+    return _Levels(tuple(blocks), tuple(below), tuple(mu), columns, position, tuple(spans), weights)
+
+
+@lru_cache(maxsize=32)
+def _level_volumes(ctx: SpaceContext) -> tuple[tuple[int, int, list[int], list[int]], ...] | None:
+    """Per level l of a hierarchical poset with w positive off 0 (else None),
+    bottom up: (M |L_<l|, m^(n_<l), sums, counts), n_<l the coordinates under
+    level l, sums the increasing values v of a sum of block maxima over L_l's
+    blocks and counts the number N_l(v) of vectors of those blocks whose sum
+    is at most v.
+
+    A block of k coordinates has F(v)^k - F(v - 1)^k vectors of block
+    maximum v, with F(v) = #{a : w(a) <= v}, and the sums of block maxima
+    over a level count as the product of these block polynomials.
+    """
+    levels = _levels(ctx)
+    if levels is None or levels.weights is None:
+        return None
+    k = ctx.labeling.k
+    ordered = sorted(ctx.weight_fn.table)
+    values = sorted(set(ordered))
+    fits = [bisect_right(ordered, v) for v in values]
+    polys = {d: {v: f**d - g**d for v, f, g in zip(values, fits, [0, *fits])} for d in set(k)}
+    volumes = []
+    for level, under in zip(levels.blocks, levels.below):
+        counts = polys[k[level[0]]]
+        for i in level[1:]:
+            grown: dict[int, int] = {}
+            for b, y in polys[k[i]].items():
+                for a, x in counts.items():
+                    grown[a + b] = grown.get(a + b, 0) + x * y
+            counts = grown
+        sums = sorted(counts)
+        # mu at a whole number of levels is their dimension
+        volumes.append((ctx.max_weight * under, ctx.m ** levels.mu[under], sums,
+                        list(accumulate(map(counts.get, sums)))))
+    return tuple(volumes)
+
+
+@lru_cache(maxsize=32)
+def _split_tables(ctx: SpaceContext) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Read-only split tables of the scalar weight on a hierarchical poset,
+    from the m x m table of w(y - a): mu, with mu(y) = min_a max(w(a),
+    w(y - a)), and, when some level has several blocks (`_level_split`
+    reads it; else None), g with g[j, y] = min over a with w(a) <= values[j]
+    of w(y - a), for the distinct values of w, increasing (the third array)."""
+    table = np.asarray(ctx.weight_fn.table, dtype=np.int64)
+    elements = np.arange(ctx.m)
+    shifted = table[(elements[:, None] - elements) % ctx.m]
+    mu = np.maximum(shifted, table).min(axis=1)
+    split = values = None
+    if max(map(len, _levels(ctx).blocks)) > 1:
+        order = np.argsort(table, kind="stable")
+        values = np.array(sorted(set(ctx.weight_fn.table)))
+        # column j: the least w(y - a) over the j + 1 lightest a
+        lightest = np.minimum.accumulate(shifted[:, order], axis=1)
+        split = lightest[:, np.searchsorted(table[order], values, side="right") - 1].T.copy()
+        split.flags.writeable = values.flags.writeable = False
+    mu.flags.writeable = False
+    return mu, split, values
+
+
+def _block_maxima(rows: np.ndarray, blocks: int) -> np.ndarray:
+    """The maxima over each block's rows of (..., coordinates, pairs) rows,
+    for `blocks` blocks of equal width (see `_levels`): (..., blocks,
+    pairs)."""
+    if rows.shape[-2] == blocks:
+        return rows
+    return rows.reshape(*rows.shape[:-2], blocks, -1, rows.shape[-1]).max(axis=-2)
+
+
+def _level_split(ctx: SpaceContext, pairs: np.ndarray, blocks: int, budget: int) -> int | None:
+    """The least H(d) = min_x max(S(x), S(d - x)) of `codes._level_packing`
+    over the (coordinates x pairs) differences d of one level of `blocks`
+    blocks, x running over the vectors of those blocks and S summing block
+    maxima; None past the budget.
+
+    Bound block i's maximum of x by a value p of w: the least block maximum
+    of d - x is then q_i(p) = max_c g(d_c, p) over the block's coordinates c,
+    which choose on their own.  So H(d) = min over p_i of max(sum_i p_i,
+    sum_i q_i(p_i)).  best[T] is the least sum of q_i(p_i) over the blocks so
+    far with sum_i p_i = T, or M |L| + 1 when there is no such choice; then
+    H = min_T max(T, best[T]).
+    """
+    _, split, values = _split_tables(ctx)
+    M = ctx.max_weight
+    total = M * blocks
+    if len(values) * (total + 1) * pairs.shape[1] > budget:
+        return None
+    least = _block_maxima(split.take(pairs, axis=1), blocks)
+    # best[M + T]; the M rows before T = 0 stand for no choice
+    best = np.full((M + total + 1, pairs.shape[1]), total + 1)
+    best[M] = 0
+    before = M + np.arange(total + 1) - values[:, None]
+    for block in range(blocks):
+        best[M:] = (best[before] + least[:, block, None]).min(axis=0)
+    return int(np.maximum(best[M:].min(axis=1), np.arange(total + 1)).min())

@@ -277,3 +277,15 @@ def ideal_masks_by_scan(poset, size: int | None = None) -> list[int]:
         mask for mask in range(1 << poset.s)
         if (size is None or mask.bit_count() == size) and poset.ideal_mask(mask) == mask
     ]
+
+
+def is_hierarchical(poset) -> bool:
+    """Incomparable elements share their strict down-set: then the classes of
+    equal strict down-sets are antichains stacked one above the other (an
+    ordinal sum of antichains)."""
+    strict = [down & ~(1 << i) for i, down in enumerate(poset.down)]
+    return all(
+        strict[i] == strict[j]
+        for i, j in combinations(range(poset.s), 2)
+        if not (poset.down[i] >> j & 1 or poset.down[j] >> i & 1)
+    )

@@ -46,7 +46,7 @@ from posetblock import (
     space_context,
     verify_semidirect,
 )
-from posetblock import WeightFunction, codes
+from posetblock import WeightFunction, codes, tables
 from posetblock.cli import main
 from posetblock.tables import block_max_table, digit_table, weight_order, weight_table
 
@@ -55,6 +55,7 @@ from oracles import (
     code_from_words,
     difference_rank_table,
     graph_code,
+    is_hierarchical,
     is_invertible_mod,
     pairwise_distances,
     scan_profiles,
@@ -640,6 +641,38 @@ def chain_route_spaces():
     ]
 
 
+def hierarchical_spaces():
+    """Sixteen hierarchical spaces: antichains, "two below one" (covers
+    (1,3), (2,3)), "one below two" (covers (1,2), (1,3), the benchmark's V),
+    2+2 and 1+2+1 levels and chains, over Hamming, Lee and custom weights."""
+    two_below_one = Poset.from_covers(3, [(1, 3), (2, 3)])
+    one_below_two = Poset.from_covers(3, [(1, 2), (1, 3)])
+    two_two = Poset.from_covers(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+    diamond = Poset.from_covers(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+
+    def lee(m):
+        return lee_weight(Alphabet(m))
+
+    return [
+        space_context(Poset.antichain(4), (2, 1, 1, 1), 2),
+        space_context(Poset.antichain(6), (1,) * 6, 3),
+        space_context(Poset.antichain(7), (2,) * 7, 2),
+        space_context(Poset.antichain(3), (1, 1, 1), 7, lee(7)),
+        space_context(Poset.antichain(3), (1, 2, 1), 5, custom_weight(Alphabet(5), [0, 2, 3, 3, 2])),
+        space_context(two_below_one, (2, 1, 1), 3),
+        space_context(two_below_one, (1, 1, 2), 5, lee(5)),
+        space_context(two_below_one, (2, 2, 1), 5, lee(5)),
+        space_context(one_below_two, (2, 1, 1), 4, lee(4)),
+        space_context(one_below_two, (2, 2, 1), 5, lee(5)),
+        space_context(two_two, (1, 2, 1, 1), 3, lee(3)),
+        space_context(two_two, (1, 2, 1, 1), 5, custom_weight(Alphabet(5), [0, 2, 1, 1, 2])),
+        space_context(diamond, (1, 1, 2, 1), 4, lee(4)),
+        space_context(Poset.chain(3), (1, 2, 1), 5, lee(5)),
+        space_context(Poset.chain(4), (2, 2, 1, 1), 3),
+        space_context(Poset.chain(5), (2, 2, 1, 1, 1), 4, lee(4)),
+    ]
+
+
 def test_chain_route_matches_the_walk():
     """The chain route's packing radius equals the walk's, and perfection
     through the volume at that radius equals perfection through the weight
@@ -665,7 +698,7 @@ def test_chain_route_matches_the_walk():
         if code.size < 2:
             continue
         where = (ctx.poset.down, ctx.labeling.k, ctx.weight_fn.table, code.coords_list()[:8])
-        found = codes._chain_packing(code, codes._chain_blocks(ctx), 1 << 20)
+        found = codes._level_packing(code, 1 << 20, False)
         rho = codes._walk(code, 1 << 20)
         assert found is not None and found[0] == rho, where
         perfect = code.size * codes._volume(ctx, rho, 1 << 20) == ctx.size
@@ -674,6 +707,64 @@ def test_chain_route_matches_the_walk():
         if ctx.size <= 256:
             d1, d2 = scan_profiles(code)
             assert perfect == bool((d1 <= rho).all() and (d2 > rho).all()), where
+
+
+def test_level_route_matches_the_walk_and_the_oracles(monkeypatch):
+    """On hierarchical spaces with w positive off 0 the level route gives the
+    walk's packing radius and the pairwise distances, with or without the
+    distances, and perfection at every radius matches the d1/d2 scan on
+    small spaces: random and linear codes over the hierarchical spaces, the
+    chain route spaces and every 15th hierarchical acceptance fixture (the
+    stride is prime to the 8 alphabet and weight pairs), with the walk and
+    the difference scan in steps of 5 coordinates."""
+    monkeypatch.setattr(codes, "_CHUNK", 5)
+    rng = random.Random(59)
+    bundles = [ctx for ctx in islice(fixture_bundles(), 0, None, 15) if is_hierarchical(ctx.poset)]
+    checked = 0
+    for ctx in hierarchical_spaces() + chain_route_spaces() + bundles:
+        assert tables._levels(ctx) is not None
+        for _ in range(6 if ctx.size > 64 else 1):
+            count = rng.randint(1, 3 if ctx.m == 2 else 2 if ctx.m <= 5 else 1)
+            rows = [ctx.vector_at(rng.randrange(1, ctx.size)).coords for _ in range(count)]
+            for code in (random_code(ctx, rng.randint(2, min(12, ctx.size)), rng),
+                         Code.from_generator(ctx, rows)):
+                if code.size < 2:
+                    continue
+                where = (ctx.poset.down, ctx.labeling.k, ctx.weight_fn.table, code.coords_list()[:8])
+                rho = codes._walk(code, 1 << 20)
+                assert codes._level_packing(code, 1 << 20, True) == (rho, *pairwise_distances(code)), where
+                assert codes._level_packing(code, 1 << 20, False)[0] == rho, where
+                if ctx.size <= 1024:
+                    d1, d2 = scan_profiles(code)
+                    assert rho == int(d2.min()) - 1, where
+                    perfect = [bool((d1 <= r).all() and (d2 > r).all()) for r in range(ctx.diameter + 1)]
+                    assert [is_r_perfect(code, r) for r in range(ctx.diameter + 1)] == perfect, where
+                checked += 1
+    assert checked > 500
+
+
+def test_level_route_reads_no_whole_space_table_and_never_walks(monkeypatch):
+    """`analyze`, `packing_radius` and `is_r_perfect` at every radius on the
+    hierarchical spaces neither walk nor scan the pair differences, and miss
+    no whole-space table cache."""
+
+    def refuse(*args):
+        raise AssertionError("the walk or the difference scan ran on the level route")
+
+    monkeypatch.setattr(codes, "_walk", refuse)
+    monkeypatch.setattr(codes, "_differences", refuse)
+    caches = (tables._digit_table, tables._weight_table, tables._weight_order)
+    for table in caches:
+        table.cache_clear()
+    rng = random.Random(61)
+    for ctx in hierarchical_spaces():
+        generator = [ctx.vector_at(rng.randrange(1, ctx.size)).coords for _ in range(2)]
+        for code in (random_code(ctx, 12, rng), Code.from_generator(ctx, generator)):
+            analyze(code)
+            packing_radius(code)
+            for r in range(ctx.diameter + 1):
+                is_r_perfect(code, r)
+    assert [table.cache_info().misses for table in caches] == [0, 0, 0]
 
 
 def test_chain_route_distances_match_pairwise(monkeypatch):
@@ -715,16 +806,20 @@ def test_split_weights_match_criterion_6():
     for m in range(2, 9):
         weights += [hamming_weight(Alphabet(m)).table, lee_weight(Alphabet(m)).table]
     for table in weights:
-        assert codes._split_weights(WeightFunction(table)).tolist() == _split_weights(table)
+        ctx = SpaceContext(Poset.chain(1), Labeling((1,)), Alphabet(len(table)), WeightFunction(table))
+        assert tables._split_tables(ctx)[0].tolist() == _split_weights(table)
 
 
 def test_volume_matches_the_weight_order(monkeypatch):
     """`codes._volume` equals the `searchsorted` volume of the weight order at
-    every radius up to one past the diameter: in closed form on every chain
-    route space, and by the shortcut below the least nonzero weight, both
-    with no weight order; elsewhere, on the non-chain acceptance fixtures, a
-    V space whose custom Z_5 weight is at least 2 off 0, and a weight with a
-    zero off 0, where the shortcut must not fire."""
+    every radius up to one past the diameter: from the level counts on every
+    hierarchical space with w positive off 0 (the chain route spaces, the
+    hierarchical spaces, a V space whose custom Z_5 weight is at least 2 off
+    0, and the hierarchical acceptance fixtures), and by the shortcut below
+    the least nonzero weight, both with no weight order; elsewhere, on the
+    non-hierarchical acceptance fixtures (N, the tree, a chain beside a
+    point, ...) and a weight with a zero off 0, where the shortcut must not
+    fire, from the weight order."""
     vee = Poset.from_covers(3, [(1, 3), (2, 3)])
     custom = space_context(vee, (1, 2, 1), 5, custom_weight(Alphabet(5), [0, 2, 3, 3, 2]))
     zero = SpaceContext(Poset.antichain(2), Labeling((1, 1)), Alphabet(4),
@@ -739,19 +834,22 @@ def test_volume_matches_the_weight_order(monkeypatch):
 
     monkeypatch.setattr(codes, "weight_order", counted_order)
     shortcuts = 0
-    for ctx in chain_route_spaces() + [custom, zero] + others:
+    walked = 0
+    for ctx in chain_route_spaces() + hierarchical_spaces() + [custom, zero] + others:
         ranked = weight_order(ctx)[1]
+        levels = is_hierarchical(ctx.poset) and ctx.min_nonzero_weight > 0
         for r in range(ctx.diameter + 2):
             reads.clear()
             assert codes._volume(ctx, r, 1 << 20) == np.searchsorted(ranked, r, side="right"), (
                 ctx.poset.down, ctx.labeling.k, ctx.weight_fn.table, r
             )
             shortcut = r < ctx.min_nonzero_weight
-            assert reads == ([] if shortcut or ctx.poset.is_chain else [ctx])
+            assert reads == ([] if shortcut or levels else [ctx])
             shortcuts += shortcut
+            walked += reads == [ctx]
     # w(1) = w(3) = 0, so B(0, 0) = {0, 1, 3}^2
     assert codes._volume(zero, 0, 1 << 20) == 9
-    assert shortcuts >= 2
+    assert shortcuts >= 2 and walked >= 100
 
 
 CLI_BUNDLE = {

@@ -21,6 +21,7 @@ from posetblock import (
     TooSmallError,
     ValidationError,
     WeightFunction,
+    all_posets,
     analyze,
     ball,
     enumerate_linear_codes,
@@ -47,7 +48,7 @@ from posetblock.codes import SingletonParams
 from posetblock.space import DEFAULT_VECTOR_BUDGET
 from posetblock.tables import distinct_rows, weight_order, weight_table
 
-from oracles import closure_error, pairwise_distances
+from oracles import closure_error, is_hierarchical, pairwise_distances
 
 
 def repetition_code(ctx):
@@ -223,14 +224,15 @@ def test_analytics_compute_each_quantity_once(monkeypatch, chain2_m2):
         hooked.setattr(Code, "codewords", property(unused))
         analyze(code)
         assert len(walks) == 1
-        # the chain route reads no whole-space table
+        # the level route reads no whole-space table
         assert [table.cache_info().misses for table in caches] == [0, 0, 0]
-        antichain = space_context(Poset.antichain(2), (1, 1), 2)
+        # the N poset is not hierarchical: the walk runs there
+        n_poset = space_context(Poset.from_covers(4, [(1, 3), (2, 3), (2, 4)]), (1, 1, 1, 1), 2)
         # d_w = 1 fixes the packing radius 0 with no table
-        analyze(Code.from_words(antichain, [(0, 0), (0, 1)]))
+        analyze(Code.from_words(n_poset, [(0, 0, 0, 0), (1, 0, 0, 0)]))
         assert len(walks) == 2
         assert [table.cache_info().misses for table in caches] == [0, 0, 0]
-        other = Code.from_words(antichain, [(0, 0), (1, 1)])
+        other = Code.from_words(n_poset, [(0, 0, 0, 0), (1, 1, 1, 1)])
         analyze(other)
         assert len(walks) == 3
         assert [table.cache_info().misses for table in caches] == [1, 1, 1]
@@ -301,7 +303,7 @@ def test_packing_radius_minus_one_when_balls_of_radius_zero_meet():
     assert not any(is_r_perfect(code, r) for r in (0, 1, 2))
     with pytest.raises(NegativeRadiusError, match=NEGATIVE_RADIUS):
         analyze(code)
-    # the same off the chain route, where d_w = 0 fixes the radius
+    # the same off the level route, where d_w = 0 fixes the radius
     antichain = SpaceContext(Poset.antichain(2), Labeling((1, 1)), Alphabet(4),
                              WeightFunction((0, 0, 1, 0)))
     code = Code.from_words(antichain, [(0, 0), (1, 0)])
@@ -358,15 +360,17 @@ def test_walk_runs_off_the_chain_route(monkeypatch):
     monkeypatch.setattr(codes, "_walk", counted_walk)
     zero = SpaceContext(Poset.chain(1), Labeling((1,)), Alphabet(4), WeightFunction((0, 0, 1, 0)))
     assert packing_radius(Code.from_words(zero, [(0,), (1,)])) == -1
-    antichain = Code.from_words(space_context(Poset.antichain(2), (1, 1), 3), [(0, 0), (1, 2)])
-    assert packing_radius(antichain) == packing_radius_oracle(antichain)
+    tree = space_context(Poset.from_covers(4, [(1, 2), (1, 3), (3, 4)]), (1, 1, 1, 1), 3)
+    off_levels = Code.from_words(tree, [(0, 0, 0, 0), (1, 2, 0, 1)])
+    assert packing_radius(off_levels) == packing_radius_oracle(off_levels)
     assert len(walks) == 2
     # the m x m split table past the budget, then the coordinates of the in-group pairs
     lee5 = Code.from_words(space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
                            [(0,), (2,)])
-    block = space_context(Poset.chain(1), (3,), 2)
+    # (a Hamming block would need no pairs: each difference there weighs 1)
+    block = space_context(Poset.chain(1), (3,), 4, lee_weight(Alphabet(4)))
     whole = Code.from_words(block, [v.coords for v in block.vectors()])
-    assert (packing_radius(lee5, budget=10), packing_radius(whole, budget=8)) == (0, 0)
+    assert (packing_radius(lee5, budget=10), packing_radius(whole, budget=64)) == (0, 0)
     assert len(walks) == 4
     assert (packing_radius(lee5), packing_radius(whole)) == (0, 0)
     assert len(walks) == 4
@@ -384,9 +388,9 @@ def test_chain_fallbacks_scan_the_differences_once(monkeypatch):
     # the m x m split table past the budget, then the coordinates of the in-group pairs
     lee5 = Code.from_words(space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
                            [(0,), (2,)])
-    block = space_context(Poset.chain(1), (3,), 2)
+    block = space_context(Poset.chain(1), (3,), 4, lee_weight(Alphabet(4)))
     whole = Code.from_words(block, [v.coords for v in block.vectors()])
-    for code, budget in ((lee5, 10), (whole, 8)):
+    for code, budget in ((lee5, 10), (whole, 64)):
         report = analyze(code, budget)
         assert scans == [code]
         scans.clear()
@@ -683,9 +687,11 @@ def test_analyze_walks_the_differences_once(monkeypatch):
         return differences(code)
 
     monkeypatch.setattr(codes, "_differences", counted)
-    ctx = space_context(Poset.from_covers(3, [(1, 3), (2, 3)]), (1, 1, 2), 3)
+    # the N poset is not hierarchical, so its distances come from the differences
+    ctx = space_context(Poset.from_covers(4, [(1, 3), (2, 3), (2, 4)]), (1, 1, 2, 1), 3)
     rng = random.Random(5)
-    for code in (random_code(ctx, 9, rng), Code.from_generator(ctx, [(1, 0, 2, 1), (0, 1, 1, 0)])):
+    generator = [(1, 0, 2, 1, 1), (0, 1, 1, 0, 2)]
+    for code in (random_code(ctx, 9, rng), Code.from_generator(ctx, generator)):
         walks.clear()
         report = analyze(code)
         assert walks == [code]
@@ -724,6 +730,41 @@ def test_singleton_params_past_twenty_blocks():
     ctx = space_context(Poset.chain(25), (1,) * 25, 2)
     code = Code.from_words(ctx, [(0,) * 25, (0,) * 24 + (1,)])
     assert singleton_params(code) == SingletonParams(24, 24, 2, True)
+
+
+def test_singleton_data_from_the_levels_matches_the_ideal_listing():
+    """On every hierarchical poset with s <= 5, under random labelings, the
+    ideal dimension mu from the levels equals the largest dimension sum over
+    `Poset.ideal_masks(size=lambda)` at every lambda; `tables._levels`
+    finds exactly the posets that `is_hierarchical` finds."""
+    rng = random.Random(67)
+    seen = 0
+    for s in range(1, 6):
+        for poset in all_posets(s):
+            k = tuple(rng.randint(1, 3) for _ in range(s))
+            ctx = space_context(poset, k, 2)
+            assert (tables._levels(ctx) is not None) == is_hierarchical(poset), poset.down
+            if not is_hierarchical(poset):
+                continue
+            code = Code.from_words(ctx, [(0,) * ctx.n, (1,) * ctx.n])
+            for lam in range(s + 1):
+                expected = max(sum(k[i] for i in range(s) if mask >> i & 1)
+                               for mask in poset.ideal_masks(size=lam))
+                # Hamming: lambda = d - 1
+                params = codes._singleton_params(code, lam + 1)
+                assert (params.ideal_size, params.ideal_dimension) == (lam, expected), (poset.down, k)
+            seen += 1
+    assert seen == 1 + 3 + 13 + 75 + 541
+
+
+def test_singleton_params_on_a_wide_antichain():
+    """antichain(24), where the ideal listing refuses past 2^20 ideals: mu
+    comes from the one level."""
+    ctx = space_context(Poset.antichain(24), (1,) * 24, 2)
+    code = Code.from_words(ctx, [(0,) * 24, (1,) * 13 + (0,) * 11])
+    with pytest.raises(BudgetError):
+        ctx.poset.ideal_masks()
+    assert singleton_params(code) == SingletonParams(12, 12, 4096, False)
 
 
 def test_tail_maps_keep_their_entries_and_draws():
