@@ -7,8 +7,9 @@ invertible maps is enumerated by a column-by-column search that extends all
 partial maps of one level together, keeping a partial map only while it
 preserves the weight on the span of the columns chosen so far (or, for
 cross-validation, by scanning every matrix).  One routine factors a whole
-stack of isometries into block-triangular parts composed with block
-permutations lifted from labeled poset automorphisms, and checks the
+stack of isometries, read as the ranks of their columns, into
+block-triangular parts composed with block permutations lifted from
+labeled poset automorphisms, and checks the
 factorization to be exact and unique, so that the group order equals the
 product of the two factors' orders.  The same isometry test and search
 also check and count the diagonal blocks of the triangular part.
@@ -38,7 +39,10 @@ from .poset import Labeling, Permutation, Poset
 from .space import (
     DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
 )
-from .tables import _order_matrix, digit_table, distinct_rows, ideals, rank_powers, weight_table
+from .tables import (
+    _digit_table, _order_matrix, _support_ideals, check_vector_budget, digit_table, distinct_rows,
+    rank_powers, weight_table,
+)
 
 _CHUNK = 1 << 18  # entries of the largest rank array one batched step builds
 
@@ -216,17 +220,21 @@ def _triangular_mask(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
     """
     k = ctx.labeling.k
     block_of = np.repeat(np.arange(ctx.s), k)
-    allowed = _order_matrix(ctx.poset)[block_of, block_of[:, None]] > 0
-    ok = ~(mats.astype(bool) & ~allowed).any(axis=(1, 2))
+    # the entries (r, c) whose row block is not below the column block
+    rows, cols = np.nonzero(_order_matrix(ctx.poset)[block_of, block_of[:, None]] == 0)
+    ok = ~mats[:, rows, cols].any(axis=1)
     for size in sorted(set(k)):
-        shaped = np.nonzero(ok)[0]
+        shaped = np.flatnonzero(ok)
         if not len(shaped):
             break
-        diagonal = [ctx.block_slice(r) for r in ctx.poset.elements if k[r - 1] == size]
-        sub = mats[shaped]
-        blocks = np.stack([sub[:, d, d] for d in diagonal], axis=1).reshape(-1, size, size)
+        # coordinates of each diagonal block of this size, (blocks, size)
+        span = np.add.outer([ctx.offsets[r] for r in range(ctx.s) if k[r] == size], range(size))
+        blocks = mats[shaped[:, None, None, None], span[:, :, None], span[:, None, :]]
+        blocks = blocks.reshape(-1, size, size)
         weights, digits, powers = _tables(_block_space(ctx, size))
-        first, inverse = distinct_rows(blocks @ powers)
+        # row ranks in their smallest type: numpy sorts 8- and 16-bit keys by radix
+        keys = (blocks @ powers).astype(np.min_scalar_type(len(weights) - 1))
+        first, inverse = distinct_rows(keys)
         preserved = _isometry_mask(blocks[first], ctx.m, weights, digits, powers)
         ok[shaped] = preserved[inverse].reshape(len(shaped), -1).all(axis=1)
     return ok
@@ -250,13 +258,14 @@ def induced_automorphism(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) ->
     if not is_isometry(T, budget):
         raise NotIsometryError("map does not preserve the weight")
     ctx = T.context
-    maximal, generators = _block_maps(ctx, np.asarray([T.rows]))
-    image = generators[0].tolist()
+    ranks = _column_ranks(ctx, np.asarray([T.rows]))
+    image = _block_maps(ctx, ranks)[0].tolist()
     for i, generator in enumerate(image, start=1):
         if not generator:
+            maximal = _support_ideals(ctx)[0][ranks[0, ctx.offsets[i - 1]]]
             raise NonPrincipalError(
                 f"support ideal of the image of block {i} has maximal set "
-                f"{(np.flatnonzero(maximal[0, i - 1]) + 1).tolist()}"
+                f"{(np.flatnonzero(maximal) + 1).tolist()}"
             )
     try:
         return Permutation(tuple(image))
@@ -264,16 +273,22 @@ def induced_automorphism(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) ->
         raise NonPrincipalError(f"induced block map {image} is not a bijection") from exc
 
 
-def _block_maps(ctx: SpaceContext, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of the (G, n, n) stack and block i: the maximal elements of the
+def _column_ranks(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
+    """(G, n) ranks of the columns of every matrix of the (G, n, n) stack."""
+    return mats.transpose(0, 2, 1) @ rank_powers(ctx)
+
+
+def _block_maps(ctx: SpaceContext, ranks: np.ndarray) -> np.ndarray:
+    """Per row of (G, n) column ranks and block i: the 1-based generator of the
     ideal that the block support of the image of block i's first basis vector
-    generates, as row i of a (G, s, s) boolean array, and the 1-based generator
-    of that ideal, as a (G, s) array, 0 where it is not principal."""
-    starts = np.asarray(ctx.offsets[:-1])
-    # nonzero[g, r, i]: whether row block r of that image is nonzero
-    nonzero = np.logical_or.reduceat(mats[:, :, starts] != 0, starts, axis=1)
-    _, maximal = ideals(ctx.poset, nonzero.transpose(0, 2, 1))
-    return maximal, np.where(maximal.sum(axis=2) == 1, maximal.argmax(axis=2) + 1, 0)
+    generates, as a (G, s) array, 0 where it is not principal.
+
+    The image of that basis vector is the block's first column, so this is
+    one gather from the per-rank table of `tables._support_ideals`, which
+    also holds the ideal's maximal elements; the caller checks the vector
+    budget first.
+    """
+    return _support_ideals(ctx)[1][ranks[:, ctx.offsets[:-1]]]
 
 
 def decompose(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) -> IsometryDecomposition:
@@ -303,24 +318,37 @@ def _factor(
     the triangular part U = T . lift^-1, whether U is in the triangular group
     and whether U . lift recomposes T exactly; and whether the factor pairs
     (phi, U) of the stack are pairwise distinct.
+
+    The stack is read as the (G, n) ranks of its columns.  Column c of
+    T . lift^-1 is column source(c) = argmax_j lift[c, j] of T: the lift P
+    sends e_j to e_pi(j), pi moving each coordinate of block i to its place
+    in block phi(i), so P^-1 = P^T, P^-1 e_c = e_pi^-1(c), and P[c, j] = 1
+    exactly at j = pi^-1(c).  So U's column ranks are T's gathered at the
+    sources, and U is the digit rows at those ranks.  A rank names exactly
+    one column vector, so two members have the same U exactly when they have
+    the same column ranks of U: the pairs (phi, U) are distinct exactly when
+    the rows (index, U's column ranks) are.
     """
-    _, generators = _block_maps(ctx, mats)
-    images = np.asarray([phi.image for phi in automorphisms])
+    ranks = _column_ranks(ctx, mats)
+    generators = _block_maps(ctx, ranks)
+    images = np.asarray([phi.image for phi in automorphisms], dtype=generators.dtype)
     _, inverse = distinct_rows(np.concatenate([images, generators]))
     # the images are distinct; a block map equal to one shares its position
     lookup = np.full(inverse.max() + 1, -1)
     lookup[inverse[: len(images)]] = np.arange(len(images))
     index = lookup[inverse[len(images) :]]
-    # T . lift^-1 = T . lift^T: column c of it is column argmax(lift[c]) of T
     chosen = np.maximum(index, 0)
     sources = lifts.argmax(axis=2)[chosen]
-    triangular = np.take_along_axis(mats, sources[:, None, :], axis=2)
+    u_ranks = ranks[np.arange(len(ranks))[:, None], sources]
+    triangular = np.take(_digit_table(ctx), u_ranks, axis=0).transpose(0, 2, 1)
     member = _triangular_mask(ctx, triangular)
     # holds any sum of n products of entries below m
     wide = np.min_scalar_type(ctx.n * (ctx.m - 1) ** 2)
     recomposed = np.matmul(triangular.astype(wide), lifts.astype(wide)[chosen]) % ctx.m
     exact = (recomposed == mats).all(axis=(1, 2))
-    pairs = np.column_stack([index, triangular @ rank_powers(ctx)])
+    # (index + 1, U's column ranks) in their smallest type, for the radix sort
+    pairs = np.empty((len(ranks), ctx.n + 1), np.min_scalar_type(max(ctx.size - 1, len(images))))
+    pairs[:, 0], pairs[:, 1:] = index + 1, u_ranks
     unique = len(distinct_rows(pairs, inverse=False)[0]) == len(pairs)
     return index, triangular, member, exact, unique
 
@@ -450,10 +478,11 @@ def triangular_group_order(
     (see `in_triangular_group`), counted once per k by the group search or,
     with `exhaustive`, scan; blocks over strict relations are free.
     """
-    diag_counts = {
-        k: len(_isometries(_block_space(ctx, k), DEFAULT_VECTOR_BUDGET, matrix_budget, exhaustive))
-        for k in set(ctx.labeling.k)
-    }
+    find = _scan if exhaustive else _search
+    diag_counts = {}
+    for k in set(ctx.labeling.k):
+        block = _block_space(ctx, k)
+        diag_counts[k] = len(find(block, *_tables(block), matrix_budget))
     sizes = np.asarray(ctx.labeling.k)
     free = int(sizes @ _order_matrix(ctx.poset) @ sizes - sizes @ sizes)
     return prod(diag_counts[k] for k in ctx.labeling.k) * ctx.m**free
@@ -479,6 +508,25 @@ def verify_semidirect(
     The factorization rests on the structural results on isometries, which
     assume some multiplicative unit attains the minimum nonzero weight; over
     a ring weight without one, this warns once.
+
+    Refusal before the search.  In the default mode the triangular group is
+    counted first, after the vector budget check (and only while each block
+    space is within the default vector budget that `triangular_group_order`
+    reads, so that every refusal keeps its message).  If w is positive off 0
+    and the count exceeds `matrix_budget`, the search would exceed it too,
+    and its error is raised before it starts.  Each member of G is one
+    tested candidate at the search's last level, so it tests at least |G|
+    candidates, and the triangular group lies in G.  Let U be in it, x != 0,
+    I the ideal that x's support generates and M its maximal set, which
+    lies in supp(x).  Block i of Ux is the sum of U_ij x_j over j >= i
+    (U_ij vanishes unless i <= j), so it vanishes unless some x_j with
+    j >= i is nonzero, and supp(Ux) lies in I.  For i in M the only such j
+    is i itself, so (Ux)_i = U_ii x_i; U_ii preserves the block maximum of
+    w, which is positive on x_i != 0, so (Ux)_i is nonzero with the block
+    maximum of x_i.  Hence supp(Ux) generates I, with maximal set M and the
+    block maxima of x on M: w(Ux) = w(x).  A linear map preserving a weight
+    that vanishes only at 0 is bijective (see `_needs_bijectivity_test`), so
+    U is in G.
     """
     if not ctx.alphabet.is_field and not has_min_weight_unit(ctx.alphabet, ctx.weight_fn):
         warnings.warn(
@@ -487,8 +535,15 @@ def verify_semidirect(
             RuntimeWarning,
             stacklevel=2,
         )
+    count_first = not exhaustive and ctx.m ** max(ctx.labeling.k) <= DEFAULT_VECTOR_BUDGET
+    if count_first:
+        check_vector_budget(ctx, budget)
+        u_order = triangular_group_order(ctx, matrix_budget)
+        if ctx.min_nonzero_weight > 0 and u_order > matrix_budget:
+            raise BudgetError(f"isometry search tests more than {matrix_budget} candidate images")
     mats = _isometries(ctx, budget, matrix_budget, exhaustive)
-    u_order = triangular_group_order(ctx, matrix_budget, exhaustive)
+    if not count_first:
+        u_order = triangular_group_order(ctx, matrix_budget, exhaustive)
     automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
     index, _, member, exact, unique = _factor(ctx, mats, automorphisms, _lifts(ctx, automorphisms))
     return GroupReport(

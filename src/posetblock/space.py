@@ -53,13 +53,21 @@ class SpaceContext:
                 f"weight table length {self.weight_fn.m} does not match modulus {self.alphabet.m}"
             )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, taken once: every table cache is keyed on the context."""
+        return hash((self.poset, self.labeling, self.alphabet, self.weight_fn))
+
     # -- geometry -------------------------------------------------------
 
     @property
     def s(self) -> int:
         return self.poset.s
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.labeling.n
 
@@ -67,7 +75,7 @@ class SpaceContext:
     def m(self) -> int:
         return self.alphabet.m
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.m**self.n
 
@@ -101,10 +109,11 @@ class SpaceContext:
 
     def vector(self, coords: Sequence[int]) -> BlockVector:
         values = tuple(int(c) for c in coords)
-        if len(values) != self.n:
-            raise SizeMismatchError(f"expected {self.n} coordinates, got {len(values)}")
-        if any(not 0 <= c < self.m for c in values):
-            raise InvalidValueError(f"coordinates must lie in 0..{self.m - 1}: {values}")
+        n, m = self.n, self.m
+        if len(values) != n:
+            raise SizeMismatchError(f"expected {n} coordinates, got {len(values)}")
+        if any(not 0 <= c < m for c in values):
+            raise InvalidValueError(f"coordinates must lie in 0..{m - 1}: {values}")
         return BlockVector(self, values)
 
     def zero(self) -> BlockVector:

@@ -1,6 +1,7 @@
-"""Vectorized whole-space tables (digits, weights and the weight order, each
-built at most once per context and cached), profile weights and poset ideals
-used by code analytics, verification and the isometry layer, and the small
+"""Vectorized whole-space tables (digits, weights, the weight order and the
+support ideal of each vector, each built at most once per context and
+cached), profile weights and poset ideals used by code analytics,
+verification and the isometry layer, and the small
 per-context data of the level route of `codes` (the levels of a hierarchical
 poset and the split tables of the scalar weight), each cached per context
 and built whole by its first use.
@@ -170,6 +171,24 @@ def ideals(poset: Poset, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ideal = supports.reshape(-1, poset.s).astype(np.float32) @ below > 0
     maximal = ideal.astype(np.float32) @ below == 1
     return ideal.reshape(supports.shape), maximal.reshape(supports.shape)
+
+
+@lru_cache(maxsize=32)
+def _support_ideals(ctx: SpaceContext) -> tuple[np.ndarray, np.ndarray]:
+    """Per vector rank, the ideal that the vector's block support generates:
+    its maximal elements, as a (size, s) boolean array, and its 1-based
+    generator, as a (size,) array, 0 where the ideal is not principal.
+
+    Cached per context (both arrays read-only) and built from the digit table
+    without a budget check: callers check the vector budget first.
+    """
+    supports = np.logical_or.reduceat(_digit_table(ctx) != 0, ctx.offsets[:-1], axis=1)
+    _, maximal = ideals(ctx.poset, supports)
+    generators = np.where(maximal.sum(axis=1) == 1, maximal.argmax(axis=1) + 1, 0)
+    # in the smallest type: numpy sorts 8- and 16-bit keys by radix
+    generators = generators.astype(np.min_scalar_type(ctx.s))
+    maximal.flags.writeable = generators.flags.writeable = False
+    return maximal, generators
 
 
 @lru_cache(maxsize=32)

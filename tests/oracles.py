@@ -8,7 +8,7 @@ import numpy as np
 
 from posetblock.errors import ArityError, BudgetError, ValidationError
 from posetblock.space import DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext
-from posetblock.tables import digit_table, rank_powers, weight_table
+from posetblock.tables import digit_table, ideals, rank_powers, weight_table
 from posetblock.verify import AxiomCheck
 
 
@@ -289,3 +289,16 @@ def is_hierarchical(poset) -> bool:
         for i, j in combinations(range(poset.s), 2)
         if not (poset.down[i] >> j & 1 or poset.down[j] >> i & 1)
     )
+
+
+def block_maps_by_stack(ctx: SpaceContext, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block maps of a (G, n, n) stack by passes over the whole stack: per
+    matrix and block i, the maximal elements of the ideal that the block
+    support of block i's first column generates, as row i of a (G, s, s)
+    boolean array, and that ideal's 1-based generator, as a (G, s) array, 0
+    where it is not principal."""
+    starts = np.asarray(ctx.offsets[:-1])
+    # nonzero[g, r, i]: whether row block r of that column is nonzero
+    nonzero = np.logical_or.reduceat(mats[:, :, starts] != 0, starts, axis=1)
+    _, maximal = ideals(ctx.poset, nonzero.transpose(0, 2, 1))
+    return maximal, np.where(maximal.sum(axis=2) == 1, maximal.argmax(axis=2) + 1, 0)

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from math import factorial
 
@@ -30,10 +31,11 @@ from posetblock import (
     triangular_group_order,
     verify_semidirect,
 )
-from posetblock import isometry
-from posetblock.space import DEFAULT_VECTOR_BUDGET
+from posetblock import isometry, tables
+from posetblock.space import DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET
 
-from oracles import is_invertible_mod
+from oracles import block_maps_by_stack, is_invertible_mod
+from test_acceptance import semidirect_fixtures
 
 
 def all_matrices(ctx):
@@ -541,6 +543,71 @@ def test_stacked_factorization_matches_the_per_member_route():
             phi = induced_automorphism(T)
             assert automorphisms[i] == phi
             assert U == [list(row) for row in T.compose(from_automorphism(phi.inverse(), ctx)).rows]
+
+
+def test_block_maps_by_rank_match_the_stack_oracle():
+    # every matrix of the semidirect fixtures, so non-principal ideals too, then the groups
+    stacks = [
+        (ctx, np.asarray([T.rows for T in all_matrices(ctx)]))
+        for _, ctx, _ in semidirect_fixtures()
+    ]
+    stacks += [
+        (ctx, isometry._isometries(ctx, DEFAULT_VECTOR_BUDGET, DEFAULT_MATRIX_BUDGET, False))
+        for ctx in FACTOR_SPACES
+    ]
+    for ctx, mats in stacks:
+        ranks = isometry._column_ranks(ctx, mats)
+        maximal = tables._support_ideals(ctx)[0][ranks[:, ctx.offsets[:-1]]]
+        expected_maximal, expected_generators = block_maps_by_stack(ctx, mats)
+        assert np.array_equal(maximal, expected_maximal)
+        assert np.array_equal(isometry._block_maps(ctx, ranks), expected_generators)
+
+
+def test_decompose_a_lifted_automorphism_on_seventeen_blocks():
+    # (s + 1)^s passes 2^63 from s = 16, so block maps must not be read as one integer
+    ctx = space_context(Poset.antichain(17), (1,) * 17, 2)
+    phi = Permutation((*range(2, 18), 1))
+    dec = decompose(from_automorphism(phi, ctx))
+    assert dec.automorphism == phi
+    assert dec.triangular == BlockMatrix.identity(ctx)
+
+
+def test_triangular_group_order_lists_no_group(monkeypatch, vee_m2):
+    def listed(*args):
+        raise AssertionError("the triangular group was listed")
+
+    monkeypatch.setattr(isometry, "_isometries", listed)
+    # two block sizes; 256 of the 4^9 matrices pass `in_triangular_group`
+    uneven = space_context(Poset.chain(2), (2, 1), 4, lee_weight(Alphabet(4)))
+    for ctx, order in ((vee_m2, 4), (uneven, 256)):
+        for exhaustive in (False, True):
+            assert triangular_group_order(ctx, exhaustive=exhaustive) == order
+
+
+def test_oversized_group_search_is_refused_before_it_starts(monkeypatch):
+    # |U| = 48^3 * 3^12 > 2^24, and U lies in G: the search would spend its budget first
+    ctx = space_context(Poset.chain(3), (2, 2, 2), 3)
+    searched = []
+    search = isometry._search
+
+    def recorded(space, *args):
+        searched.append(space)
+        return search(space, *args)
+
+    monkeypatch.setattr(isometry, "_search", recorded)
+    started = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        verify_semidirect(ctx)
+    assert time.perf_counter() - started < 1
+    message = f"isometry search tests more than {DEFAULT_MATRIX_BUDGET} candidate images"
+    assert str(info.value) == message
+    assert searched and ctx not in searched
+    # the vector budget is checked first, and the scan keeps its own refusal
+    with pytest.raises(BudgetError, match=r"^space has 729 vectors, budget 700$"):
+        verify_semidirect(ctx, budget=700)
+    with pytest.raises(BudgetError, match=rf"^{3 ** 36} candidate matrices exceed budget"):
+        verify_semidirect(ctx, exhaustive=True)
+    assert ctx not in searched
 
 
 def _corrupt_duplicate(mats):

@@ -19,7 +19,7 @@ from posetblock import (
     lee_weight,
     space_context,
 )
-from posetblock import algebra
+from posetblock import algebra, tables
 from posetblock.tables import block_max_table, digit_table, ideals, profile_weights, weight_table
 
 from oracles import supports_union
@@ -298,3 +298,15 @@ def test_metric_axioms_by_sampling_on_large_space():
         assert (u.distance(v) == 0) == (u == v)
         assert u.distance(v) == v.distance(u)
         assert u.distance(v) <= u.distance(w) + w.distance(v)
+
+
+def test_equal_contexts_built_apart_share_one_hash_and_table_entry():
+    first = space_context(Poset.chain(3), (1, 2, 1), 3)
+    second = space_context(Poset.chain(3), (1, 2, 1), 3)
+    assert first is not second and first == second
+    assert hash(first) == hash(second) == hash(
+        (first.poset, first.labeling, first.alphabet, first.weight_fn)
+    )
+    tables._digit_table.cache_clear()
+    assert digit_table(second) is digit_table(first)
+    assert tables._digit_table.cache_info().currsize == 1
