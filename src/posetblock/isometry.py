@@ -35,7 +35,7 @@ from .errors import (
     NotLabeledAutomorphismError,
     SizeMismatchError,
 )
-from .poset import Labeling, Permutation, Poset
+from .poset import AUTOMORPHISM_SIZE_CAP, Labeling, Permutation, Poset
 from .space import (
     DEFAULT_MATRIX_BUDGET, DEFAULT_VECTOR_BUDGET, BlockVector, SpaceContext, gc_paused
 )
@@ -149,17 +149,28 @@ def _is_isometry_fast(
 def _isometry_mask(
     mats: np.ndarray, m: int, weights: np.ndarray, digits: np.ndarray, powers: np.ndarray
 ) -> np.ndarray:
-    """Per matrix of the (b, n, n) stack: whether it is an isometry of the tables' space."""
-    wide = digits.astype(np.int64)
+    """Per matrix of the (b, n, n) stack: whether it is an isometry of the tables' space.
+
+    The images of the space's vectors are formed in slices of at most `_CHUNK`
+    entries, over matrices and vectors, in the smallest type that holds a sum
+    of n products of digits.
+    """
+    size, n = digits.shape
+    wide = np.min_scalar_type(n * (m - 1) ** 2)
+    places = powers.astype(np.min_scalar_type(size - 1))
     check_bijective = _needs_bijectivity_test(weights)
-    step = max(1, _CHUNK // len(weights))
-    ok = np.empty(len(mats), dtype=bool)
+    rows = max(1, min(size, _CHUNK // n))
+    step = max(1, _CHUNK // (rows * n))
+    ok = np.ones(len(mats), dtype=bool)
     for start in range(0, len(mats), step):
-        chunk = mats[start : start + step].astype(np.int64)
-        image_ranks = (wide @ chunk.transpose(0, 2, 1) % m) @ powers
-        ok[start : start + step] = (weights[image_ranks] == weights).all(axis=1)
-        if check_bijective:
-            ok[start : start + step] &= _bijective(image_ranks)
+        chunk = mats[start : start + step].astype(wide).transpose(0, 2, 1)
+        for first in range(0, size, rows):
+            image_ranks = (digits[first : first + rows].astype(wide) @ chunk % m) @ places
+            preserved = (weights[image_ranks] == weights[first : first + rows]).all(axis=1)
+            if check_bijective:
+                # bijective when no nonzero vector maps to 0 (see `_needs_bijectivity_test`)
+                preserved &= (image_ranks[:, int(first == 0) :] != 0).all(axis=1)
+            ok[start : start + step] &= preserved
     return ok
 
 
@@ -169,16 +180,13 @@ def _needs_bijectivity_test(weights: np.ndarray) -> bool:
     It cannot when the weight vanishes only at 0 (the empty support weighs 0).
     If T preserves such a weight and T x = 0, then w(x) = w(T x) = w(0) = 0, so
     x = 0: the kernel is trivial, T is injective, and an injective map of the
-    finite space Z_m^n into itself is a bijection.  `custom_weight` and the
+    finite space Z_m^n into itself is a bijection.  The same argument makes a
+    linear map bijective exactly when no nonzero vector maps to 0, which is
+    how the bijectivity test reads its images.  `custom_weight` and the
     builtin weights are positive off 0; a `WeightFunction` built directly need
     not be, and then a nonzero vector of weight 0 leaves the test necessary.
     """
     return not (weights[1:] > 0).all()
-
-
-def _bijective(image_ranks: np.ndarray) -> np.ndarray:
-    """Per row of the images of every vector of the space: whether they cover it."""
-    return (np.sort(image_ranks, axis=1) == np.arange(image_ranks.shape[1])).all(axis=1)
 
 
 def from_automorphism(phi: Permutation, ctx: SpaceContext) -> BlockMatrix:
@@ -215,28 +223,31 @@ def _triangular_mask(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
     """Per matrix of the (G, n, n) stack: whether it is in the triangular group.
 
     The shape is one mask from the poset's order matrix.  The diagonal blocks
-    of the matrices of that shape are deduplicated by their row ranks and
-    tested as isometries of the one-block space, one batch per block size.
+    are deduplicated by their row ranks and tested as isometries of the
+    one-block space, one batch per block size.  The stack is read entry by
+    entry, as (n, n, G), so that every reduction runs across the members.
     """
     k = ctx.labeling.k
     block_of = np.repeat(np.arange(ctx.s), k)
+    entries = mats.transpose(1, 2, 0)
     # the entries (r, c) whose row block is not below the column block
     rows, cols = np.nonzero(_order_matrix(ctx.poset)[block_of, block_of[:, None]] == 0)
-    ok = ~mats[:, rows, cols].any(axis=1)
+    ok = ~entries[rows, cols].any(axis=0)
     for size in sorted(set(k)):
-        shaped = np.flatnonzero(ok)
-        if not len(shaped):
-            break
+        weights, digits, powers = _tables(_block_space(ctx, size))
         # coordinates of each diagonal block of this size, (blocks, size)
         span = np.add.outer([ctx.offsets[r] for r in range(ctx.s) if k[r] == size], range(size))
-        blocks = mats[shaped[:, None, None, None], span[:, :, None], span[:, None, :]]
-        blocks = blocks.reshape(-1, size, size)
-        weights, digits, powers = _tables(_block_space(ctx, size))
-        # row ranks in their smallest type: numpy sorts 8- and 16-bit keys by radix
-        keys = (blocks @ powers).astype(np.min_scalar_type(len(weights) - 1))
+        # row ranks of the blocks, (blocks, size, G), in their smallest type:
+        # numpy sorts 8- and 16-bit keys by radix
+        blocks = entries[span[:, :, None], span[:, None, :]]
+        blocks = blocks.astype(np.min_scalar_type(len(weights) - 1))
+        keys = blocks[:, :, 0]
+        for j in range(1, size):
+            keys = keys * ctx.m + blocks[:, :, j]
+        keys = keys.transpose(0, 2, 1).reshape(-1, size)
         first, inverse = distinct_rows(keys)
-        preserved = _isometry_mask(blocks[first], ctx.m, weights, digits, powers)
-        ok[shaped] = preserved[inverse].reshape(len(shaped), -1).all(axis=1)
+        preserved = _isometry_mask(digits[keys[first]], ctx.m, weights, digits, powers)
+        ok &= preserved[inverse].reshape(len(span), -1).all(axis=0)
     return ok
 
 
@@ -274,8 +285,9 @@ def induced_automorphism(T: BlockMatrix, budget: int = DEFAULT_VECTOR_BUDGET) ->
 
 
 def _column_ranks(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
-    """(G, n) ranks of the columns of every matrix of the (G, n, n) stack."""
-    return mats.transpose(0, 2, 1) @ rank_powers(ctx)
+    """(G, n) ranks of the columns of every matrix of the (G, n, n) stack, in
+    their smallest type."""
+    return rank_powers(ctx).astype(np.min_scalar_type(ctx.size - 1)) @ mats
 
 
 def _block_maps(ctx: SpaceContext, ranks: np.ndarray) -> np.ndarray:
@@ -319,15 +331,19 @@ def _factor(
     and whether U . lift recomposes T exactly; and whether the factor pairs
     (phi, U) of the stack are pairwise distinct.
 
-    The stack is read as the (G, n) ranks of its columns.  Column c of
-    T . lift^-1 is column source(c) = argmax_j lift[c, j] of T: the lift P
-    sends e_j to e_pi(j), pi moving each coordinate of block i to its place
-    in block phi(i), so P^-1 = P^T, P^-1 e_c = e_pi^-1(c), and P[c, j] = 1
-    exactly at j = pi^-1(c).  So U's column ranks are T's gathered at the
-    sources, and U is the digit rows at those ranks.  A rank names exactly
-    one column vector, so two members have the same U exactly when they have
-    the same column ranks of U: the pairs (phi, U) are distinct exactly when
-    the rows (index, U's column ranks) are.
+    The stack is read as the (G, n) ranks of its columns.  The lift P sends
+    e_j to e_pi(j), pi moving each coordinate of block i to its place in
+    block phi(i); so P[c, j] = 1 exactly at c = pi(j), P^-1 = P^T and
+    P^-1 e_c = e_pi^-1(c).  Column c of T . P^-1 is then column
+    source(c) = pi^-1(c) = argmax_j P[c, j] of T, so U's column ranks are
+    T's gathered at the sources, and U is the digit rows at those ranks.
+    Column j of U . P is U e_pi(j), column pi(j) = argmax_c P[c, j] of U,
+    whenever column j of P is the unit vector e_pi(j): U . P recomposes T
+    exactly when every column of the lift is a unit vector and U's ranks
+    gathered at pi are T's.  A rank names exactly one column vector, so two
+    members have the same U exactly when they have the same column ranks
+    of U: the pairs (phi, U) are distinct exactly when the rows
+    (index, U's column ranks) are.
     """
     ranks = _column_ranks(ctx, mats)
     generators = _block_maps(ctx, ranks)
@@ -338,14 +354,17 @@ def _factor(
     lookup[inverse[: len(images)]] = np.arange(len(images))
     index = lookup[inverse[len(images) :]]
     chosen = np.maximum(index, 0)
-    sources = lifts.argmax(axis=2)[chosen]
-    u_ranks = ranks[np.arange(len(ranks))[:, None], sources]
+    sources, targets = lifts.argmax(axis=2), lifts.argmax(axis=1)
+    # flat positions of each member's row in (G, n) arrays
+    rows = np.arange(len(ranks))[:, None] * ctx.n
+    u_ranks = np.take(ranks, sources[chosen] + rows)
     triangular = np.take(_digit_table(ctx), u_ranks, axis=0).transpose(0, 2, 1)
     member = _triangular_mask(ctx, triangular)
-    # holds any sum of n products of entries below m
-    wide = np.min_scalar_type(ctx.n * (ctx.m - 1) ** 2)
-    recomposed = np.matmul(triangular.astype(wide), lifts.astype(wide)[chosen]) % ctx.m
-    exact = (recomposed == mats).all(axis=(1, 2))
+    # U . P is U's columns gathered at pi when every column of P is a unit vector
+    unit = (lifts == (np.arange(ctx.n)[:, None] == targets[:, None, :])).all(axis=(1, 2))
+    exact = unit[chosen]
+    differs = np.take(u_ranks, targets[chosen] + rows) != ranks
+    exact[np.flatnonzero(differs) // ctx.n] = False
     # (index + 1, U's column ranks) in their smallest type, for the radix sort
     pairs = np.empty((len(ranks), ctx.n + 1), np.min_scalar_type(max(ctx.size - 1, len(images))))
     pairs[:, 0], pairs[:, 1:] = index + 1, u_ranks
@@ -364,15 +383,23 @@ def enumerate_isometry_group(
 ) -> list[BlockMatrix]:
     """All weight-preserving invertible linear maps, in canonical row order.
 
-    The default search picks the image of each basis vector e_c, column by
-    column, among the vectors of weight w(e_c), and keeps a partial map only
-    if it preserves the weight on all m^(c+1) vectors of the span of the
-    columns chosen so far.  It extends all partial maps of a level together,
-    in bounded chunks.  The rule assumes nothing about the weight, so the
-    search is exact.  A complete candidate preserves the weight of every
-    vector; when the weight vanishes only at 0 that makes it bijective (see
-    `_needs_bijectivity_test`), and otherwise its images are tested to cover
-    the space.  `matrix_budget` bounds the candidate images tested, one per
+    The default search picks the image t of each basis vector e_c, column
+    by column, among the vectors of weight w(e_c), and keeps a partial map f
+    only if it preserves the weight on all m^(c+1) vectors of the span of the
+    columns chosen so far: w(f(x) + a t) = w(x + a e_c) for every x in the
+    span of the earlier columns and a = 1..m-1.  Every restriction of an
+    isometry passes, so the search is exact.  It extends all partial maps of
+    a level together, in bounded chunks.  The rule assumes nothing about the
+    weight but one symmetry, checked on the scalar table: at the last
+    column, which carries no span forward when w vanishes only at 0, it
+    tests only a <= m/2 if w(-a) = w(a) for every scalar a.  A vector's
+    weight reads only the scalar weights of its coordinates, so then
+    w(-y) = w(y) for every vector y; f(-x) + (m - a) t = -(f(x) + a t) and
+    -x + (m - a) e_c = -(x + a e_c), so the test of (x, a) is the test of
+    (-x, m - a), and x -> -x permutes the span.  A complete candidate
+    preserves the weight of every vector; when the weight vanishes only at 0
+    that makes it bijective (see `_needs_bijectivity_test`), and otherwise
+    it is tested to send no nonzero vector to 0.  `matrix_budget` bounds the candidate images tested, one per
     partial map and same-weight vector, counted as the search runs.
     `exhaustive` scans all m^(n^2) matrices instead, for cross-validation on
     tiny spaces; there `matrix_budget` bounds m^(n^2) before any is built.
@@ -390,7 +417,9 @@ def _isometries(
     else:
         mats = digits[_search(ctx, weights, digits, powers, matrix_budget)].transpose(0, 2, 1)
     mats = mats.astype(np.min_scalar_type(ctx.m - 1))
-    return mats[np.lexsort((mats @ powers).T[::-1])]
+    # row ranks in their smallest type: numpy sorts 8- and 16-bit keys by radix
+    small = np.min_scalar_type(len(weights) - 1)
+    return mats[np.lexsort((mats.astype(small) @ powers.astype(small)).T[::-1])]
 
 
 def _scan(
@@ -424,6 +453,9 @@ def _search(
     pools = [np.nonzero(weights == weights[p])[0] for p in powers]
     scalars = np.arange(1, m)[:, None, None]
     check_bijective = _needs_bijectivity_test(weights)
+    table = ctx.weight_fn.table
+    # the last column tests a < last_top (see `enumerate_isometry_group`)
+    last_top = m // 2 + 1 if all(w == table[-a] for a, w in enumerate(table)) else m
     found = [np.zeros((0, n), dtype=np.int64)]
     tested = 0
 
@@ -433,9 +465,10 @@ def _search(
         nonlocal tested
         c = columns.shape[1]
         pool = pools[c]
+        top = last_top if c + 1 == n and not check_bijective else m
         # multiples[j, a - 1, p]: digit j of a times pool vector p
-        multiples = (scalars * digits[pool] % m).transpose(2, 0, 1).astype(small)
-        expected = weights[:: m ** (n - 1 - c)].reshape(-1, m)[:, 1:, None]
+        multiples = (scalars[: top - 1] * digits[pool] % m).transpose(2, 0, 1).astype(small)
+        expected = weights[:: m ** (n - 1 - c)].reshape(-1, m)[:, 1:top, None]
         pairs = max(1, _CHUNK // expected.size)
         step_q = min(len(pool), pairs)
         step_f = max(1, pairs // step_q)
@@ -448,11 +481,15 @@ def _search(
                         f"isometry search tests more than {matrix_budget} candidate images"
                     )
                 # ranks[f, x, a - 1, p] of span vector x plus a times pool vector p
-                ranks = np.zeros(part.shape + multiples[:, :, q : q + step_q].shape[1:], small)
-                for j, place in enumerate(powers.tolist()):
-                    total = planes[j][part][:, :, None, None] + multiples[j, :, q : q + step_q]
-                    # digit sums are below 2m; unsigned, total - m wraps above total when total < m
-                    ranks += np.minimum(total, total - m) * place
+                if m == 2:
+                    # over Z_2 a sum of two vectors has the XOR of their ranks
+                    ranks = part[:, :, None, None] ^ pool[q : q + step_q].astype(small)
+                else:
+                    ranks = np.zeros(part.shape + multiples[:, :, q : q + step_q].shape[1:], small)
+                    for j, place in enumerate(powers.tolist()):
+                        total = planes[j][part][:, :, None, None] + multiples[j, :, q : q + step_q]
+                        # digit sums are below 2m; unsigned, total - m wraps above total when total < m
+                        ranks += np.minimum(total, total - m) * place
                 fi, qi = np.nonzero((weights[ranks] == expected).all(axis=(1, 2)))
                 grown = np.column_stack([columns[f + fi], pool[q + qi]])
                 if c + 1 == n and not check_bijective:
@@ -463,7 +500,8 @@ def _search(
                 if c + 1 < n:
                     extend(grown, grown_span)
                 else:
-                    found.append(grown[_bijective(grown_span)])
+                    # column 0 is the image of 0 (see `_needs_bijectivity_test`)
+                    found.append(grown[(grown_span[:, 1:] != 0).all(axis=1)])
 
     extend(np.zeros((1, 0), dtype=np.int64), np.zeros((1, 1), dtype=small))
     return np.concatenate(found)
@@ -512,21 +550,35 @@ def verify_semidirect(
     Refusal before the search.  In the default mode the triangular group is
     counted first, after the vector budget check (and only while each block
     space is within the default vector budget that `triangular_group_order`
-    reads, so that every refusal keeps its message).  If w is positive off 0
-    and the count exceeds `matrix_budget`, the search would exceed it too,
-    and its error is raised before it starts.  Each member of G is one
-    tested candidate at the search's last level, so it tests at least |G|
-    candidates, and the triangular group lies in G.  Let U be in it, x != 0,
-    I the ideal that x's support generates and M its maximal set, which
-    lies in supp(x).  Block i of Ux is the sum of U_ij x_j over j >= i
-    (U_ij vanishes unless i <= j), so it vanishes unless some x_j with
-    j >= i is nonzero, and supp(Ux) lies in I.  For i in M the only such j
-    is i itself, so (Ux)_i = U_ii x_i; U_ii preserves the block maximum of
-    w, which is positive on x_i != 0, so (Ux)_i is nonzero with the block
-    maximum of x_i.  Hence supp(Ux) generates I, with maximal set M and the
-    block maxima of x on M: w(Ux) = w(x).  A linear map preserving a weight
-    that vanishes only at 0 is bijective (see `_needs_bijectivity_test`), so
-    U is in G.
+    reads), and the labeled automorphisms are listed first while s is within
+    `AUTOMORPHISM_SIZE_CAP`, so that every refusal keeps its message.  If w
+    is positive off 0 and u_order * aut_order (u_order alone past the cap)
+    exceeds `matrix_budget`, the search would exceed it too, and its error is
+    raised before it starts.  Each member of G is one tested candidate at
+    the search's last level, so it tests at least |G| candidates, and G
+    holds the |U| |Aut| distinct products U . lift(phi).
+    (a) U lies in G.  Let U be in it, x != 0, I the ideal that x's support
+    generates and M its maximal set, which lies in supp(x).  Block i of Ux
+    is the sum of U_ij x_j over j >= i (U_ij vanishes unless i <= j), so it
+    vanishes unless some x_j with j >= i is nonzero, and supp(Ux) lies in I.
+    For i in M the only such j is i itself, so (Ux)_i = U_ii x_i; U_ii
+    preserves the block maximum of w, which is positive on x_i != 0, so
+    (Ux)_i is nonzero with the block maximum of x_i.  Hence supp(Ux)
+    generates I, with maximal set M and the block maxima of x on M:
+    w(Ux) = w(x).  A linear map preserving a weight that vanishes only at 0
+    is bijective (see `_needs_bijectivity_test`), so U is in G.
+    (b) A lift P of a labeled automorphism phi lies in G.  It moves block i
+    of x, unchanged, to block phi(i) of equal size, so supp(Px) =
+    phi(supp(x)).  An order automorphism maps the ideal that supp(x)
+    generates onto the one that phi(supp(x)) generates, and its maximal set
+    M onto phi(M), where Px has the block maxima of x on M: w(Px) = w(x),
+    and P, a permutation matrix, is bijective.
+    (c) The products are distinct.  If U . lift(phi) = U' . lift(psi), then
+    U'^-1 U = lift(psi) lift(phi)^-1 = lift(psi phi^-1) lies in U.  A lift
+    of theta has the identity at block (theta(i), i), so it is triangular
+    only if theta(i) <= i for every i, and then theta is the identity:
+    otherwise i > theta(i) > theta^2(i) > ... never returns to i, though
+    theta has finite order.  So phi = psi and U = U'.
     """
     if not ctx.alphabet.is_field and not has_min_weight_unit(ctx.alphabet, ctx.weight_fn):
         warnings.warn(
@@ -536,15 +588,20 @@ def verify_semidirect(
             stacklevel=2,
         )
     count_first = not exhaustive and ctx.m ** max(ctx.labeling.k) <= DEFAULT_VECTOR_BUDGET
+    automorphisms = None
     if count_first:
         check_vector_budget(ctx, budget)
         u_order = triangular_group_order(ctx, matrix_budget)
-        if ctx.min_nonzero_weight > 0 and u_order > matrix_budget:
+        if ctx.s <= AUTOMORPHISM_SIZE_CAP:
+            automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
+        least = u_order * (len(automorphisms) if automorphisms else 1)
+        if ctx.min_nonzero_weight > 0 and least > matrix_budget:
             raise BudgetError(f"isometry search tests more than {matrix_budget} candidate images")
     mats = _isometries(ctx, budget, matrix_budget, exhaustive)
     if not count_first:
         u_order = triangular_group_order(ctx, matrix_budget, exhaustive)
-    automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
+    if automorphisms is None:
+        automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
     index, _, member, exact, unique = _factor(ctx, mats, automorphisms, _lifts(ctx, automorphisms))
     return GroupReport(
         gl_order=len(mats),

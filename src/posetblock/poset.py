@@ -328,10 +328,18 @@ class Poset:
         if phi.degree != self.s or labeling.s != self.s:
             return False
         image = [v - 1 for v in phi.image]
-        # i <= j iff phi(i) <= phi(j): phi maps each down-set onto its image's
-        return all(labeling.k[image[i]] == labeling.k[i] for i in range(self.s)) and all(
-            self.down[image[j]] == sum(1 << image[i] for i in range(self.s) if down >> i & 1)
-            for j, down in enumerate(self.down)
+        k, down = labeling.k, self.down
+        # phi permutes the pairs of [s], so mapping the strict relations into
+        # themselves maps them onto themselves: i < j iff phi(i) < phi(j)
+        return tuple([k[v] for v in image]) == k and all(
+            down[image[j]] >> image[i] & 1 for i, j in self._strict
+        )
+
+    @cached_property
+    def _strict(self) -> tuple[tuple[int, int], ...]:
+        """The 0-based pairs (i, j) with i < j."""
+        return tuple(
+            (i, j) for j, below in enumerate(self.down) for i in range(self.s) if i != j and below >> i & 1
         )
 
 

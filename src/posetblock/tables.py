@@ -75,9 +75,11 @@ def distinct_rows(keys: np.ndarray, inverse: bool = True) -> tuple[np.ndarray, n
     lexicographic order of the rows, and for each row the position of its
     distinct row among those (None when `inverse` is False)."""
     order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
+    # one contiguous row per key column, so that comparing neighbours reduces
+    # across the rows rather than along each short one
+    ordered = np.take(np.ascontiguousarray(keys.T), order, axis=1)
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     if not inverse:
         return order[new], None
     positions = np.empty(len(keys), dtype=np.int64)
@@ -182,8 +184,11 @@ def _support_ideals(ctx: SpaceContext) -> tuple[np.ndarray, np.ndarray]:
     Cached per context (both arrays read-only) and built from the digit table
     without a budget check: callers check the vector budget first.
     """
-    supports = np.logical_or.reduceat(_digit_table(ctx) != 0, ctx.offsets[:-1], axis=1)
-    _, maximal = ideals(ctx.poset, supports)
+    digits = _digit_table(ctx)
+    maximal = np.empty((ctx.size, ctx.s), dtype=bool)
+    for start in range(0, ctx.size, _ROWS):
+        supports = np.logical_or.reduceat(digits[start:start + _ROWS] != 0, ctx.offsets[:-1], axis=1)
+        maximal[start:start + _ROWS] = ideals(ctx.poset, supports)[1]
     generators = np.where(maximal.sum(axis=1) == 1, maximal.argmax(axis=1) + 1, 0)
     # in the smallest type: numpy sorts 8- and 16-bit keys by radix
     generators = generators.astype(np.min_scalar_type(ctx.s))

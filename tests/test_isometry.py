@@ -327,15 +327,17 @@ def _diagonal_block_ok(ctx, block):
     return True
 
 
+# invertible diagonal blocks, the Hamming condition, are not enough here:
+# 2 is a unit of Z_5 but doubles the Lee weight of 1
+NON_HAMMING_SPACES = [
+    space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
+    space_context(Poset.chain(1), (2,), 4, lee_weight(Alphabet(4))),
+    space_context(Poset.antichain(2), (1, 1), 5, custom_weight(Alphabet(5), [0, 2, 1, 1, 2])),
+]
+
+
 def test_triangular_diagonal_condition_on_non_hamming_weights():
-    # invertible diagonal blocks, the Hamming condition, are not enough here:
-    # 2 is a unit of Z_5 but doubles the Lee weight of 1
-    spaces = [
-        space_context(Poset.chain(1), (1,), 5, lee_weight(Alphabet(5))),
-        space_context(Poset.chain(1), (2,), 4, lee_weight(Alphabet(4))),
-        space_context(Poset.antichain(2), (1, 1), 5, custom_weight(Alphabet(5), [0, 2, 1, 1, 2])),
-    ]
-    for ctx in spaces:
+    for ctx in NON_HAMMING_SPACES:
         poset = ctx.poset
         members = 0
         for T in all_matrices(ctx):
@@ -350,6 +352,15 @@ def test_triangular_diagonal_condition_on_non_hamming_weights():
             members += shape_ok and diag_ok
         assert members == triangular_group_order(ctx)
         assert members == triangular_group_order(ctx, exhaustive=True)
+
+
+def test_triangular_mask_of_a_stack_matches_each_member(chain2_m2, antichain2_m3):
+    # the stack is read member by member along its last axis, and its distinct
+    # diagonal blocks are tested once for all members
+    for ctx in (chain2_m2, antichain2_m3, *NON_HAMMING_SPACES):
+        group = list(all_matrices(ctx))
+        mask = isometry._triangular_mask(ctx, np.asarray([T.rows for T in group]))
+        assert mask.tolist() == [in_triangular_group(T) for T in group]
 
 
 def test_in_triangular_group_tests_blocks_not_the_space():
@@ -455,6 +466,75 @@ def test_search_budget_counts_candidate_images():
         enumerate_isometry_group(ctx, matrix_budget=29)
 
 
+@pytest.mark.parametrize(
+    "m, table",
+    [
+        (4, (0, 1, 2, 1)),  # Lee
+        (6, (0, 1, 2, 3, 2, 1)),
+        (5, (0, 1, 1, 1, 1)),  # Hamming
+        (7, (0, 1, 1, 1, 1, 1, 1)),
+        (5, (0, 1, 2, 2, 3)),  # w(4) != w(1): every scalar is tested
+        (6, (0, 1, 1, 0, 1, 1)),  # zero off 0: the span goes on to the bijectivity test
+    ],
+)
+def test_last_column_rule_matches_exhaustive(m, table):
+    for poset, k in ((Poset.antichain(2), (1, 1)), (Poset.chain(2), (1, 1)), (Poset.chain(1), (2,))):
+        ctx = SpaceContext(poset, Labeling(k), Alphabet(m), WeightFunction(table))
+        search = enumerate_isometry_group(ctx)
+        exhaustive = enumerate_isometry_group(ctx, exhaustive=True)
+        assert [T.rows for T in search] == [T.rows for T in exhaustive]
+
+
+def test_last_column_tests_half_the_scalars_of_a_symmetric_weight():
+    scalars = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray) and key.ndim == 4:
+                scalars.append(key.shape[2])  # ranks[f, x, a - 1, p]
+            return np.asarray(super().__getitem__(key))
+
+    cases = [
+        ((0, 1, 1, 1, 1, 1, 1), [6, 3]),
+        ((0, 1, 2, 2, 2, 2, 2), [6, 6]),  # w(6) != w(1)
+        ((0, 1, 1, 0, 0, 1, 1), [6, 6]),  # zero off 0: the span goes on to the bijectivity test
+    ]
+    for table, expected in cases:
+        ctx = SpaceContext(Poset.antichain(2), Labeling((1, 1)), Alphabet(7), WeightFunction(table))
+        weights, digits, powers = isometry._tables(ctx)
+        scalars.clear()
+        isometry._search(ctx, weights.view(Recorded), digits, powers, DEFAULT_MATRIX_BUDGET)
+        assert scalars == expected
+
+
+def test_isometry_test_temporaries_stay_within_the_chunk():
+    import tracemalloc
+
+    ctx = space_context(Poset.antichain(16), (1,) * 16, 2)
+    built = isometry._tables(ctx)
+    T = from_automorphism(Permutation((*range(2, 17), 1)), ctx)
+    tracemalloc.start()
+    try:
+        assert isometry._is_isometry_fast(T, *built)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each temporary holds at most _CHUNK entries of a byte or two; the 2^16 x 16
+    # digits and images as int64 arrays would take 8 MiB each
+    assert peak < 8 * isometry._CHUNK
+
+
+def test_isometry_test_in_slices_of_the_space(monkeypatch):
+    # x -> 2x and x -> 3x preserve this weight but have kernels {0, 3} and {0, 2, 4};
+    # three vectors per slice put 3 first in the second slice
+    ctx = SpaceContext(Poset.chain(1), Labeling((1,)), Alphabet(6), WeightFunction((0, 1, 1, 0, 1, 1)))
+    scalars = np.arange(6).reshape(6, 1, 1)
+    for chunk in (isometry._CHUNK, 3):
+        monkeypatch.setattr(isometry, "_CHUNK", chunk)
+        mask = isometry._isometry_mask(scalars, 6, *isometry._tables(ctx))
+        assert np.flatnonzero(mask).tolist() == [1, 5]
+
+
 def test_ring_without_min_weight_unit_warns(recwarn):
     # over Z_6 only the non-units 2 and 4 attain the minimum weight
     ctx = space_context(
@@ -545,6 +625,16 @@ def test_stacked_factorization_matches_the_per_member_route():
             assert U == [list(row) for row in T.compose(from_automorphism(phi.inverse(), ctx)).rows]
 
 
+def test_recomposition_needs_a_permutation_lift(antichain2_m3):
+    mats = np.asarray([BlockMatrix.identity(antichain2_m3).rows])
+    identity = [Permutation.identity(2)]
+    # 2I has the identity's pattern but no unit column; the second has unit
+    # columns but sends both basis vectors to e_1
+    for lift, exact in (([(1, 0), (0, 1)], True), ([(2, 0), (0, 2)], False), ([(1, 1), (0, 0)], False)):
+        factors = isometry._factor(antichain2_m3, mats, identity, np.asarray([lift]))
+        assert factors[3].tolist() == [exact]
+
+
 def test_block_maps_by_rank_match_the_stack_oracle():
     # every matrix of the semidirect fixtures, so non-principal ideals too, then the groups
     stacks = [
@@ -608,6 +698,26 @@ def test_oversized_group_search_is_refused_before_it_starts(monkeypatch):
     with pytest.raises(BudgetError, match=rf"^{3 ** 36} candidate matrices exceed budget"):
         verify_semidirect(ctx, exhaustive=True)
     assert ctx not in searched
+
+
+def test_group_search_is_refused_on_the_order_of_the_product(monkeypatch):
+    # |U| = 1 and |Aut| = 8! = 40,320: U x| Aut lies in G, so the search would test more
+    ctx = space_context(Poset.antichain(8), (1,) * 8, 2)
+    searched = []
+    search = isometry._search
+
+    def recorded(space, *args):
+        searched.append(space)
+        return search(space, *args)
+
+    monkeypatch.setattr(isometry, "_search", recorded)
+    with pytest.raises(BudgetError) as info:
+        verify_semidirect(ctx, matrix_budget=10_000)
+    assert str(info.value) == "isometry search tests more than 10000 candidate images"
+    assert searched and ctx not in searched
+    report = verify_semidirect(ctx)
+    assert (report.gl_order, report.u_order, report.aut_order) == (40320, 1, 40320)
+    assert report.product_matches and report.all_decomposed
 
 
 def _corrupt_duplicate(mats):
