@@ -18,9 +18,10 @@ also check and count the diagonal blocks of the triangular part.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import factorial, prod
 from typing import Sequence
 
 import numpy as np
@@ -223,31 +224,28 @@ def _triangular_mask(ctx: SpaceContext, mats: np.ndarray) -> np.ndarray:
     """Per matrix of the (G, n, n) stack: whether it is in the triangular group.
 
     The shape is one mask from the poset's order matrix.  The diagonal blocks
-    are deduplicated by their row ranks and tested as isometries of the
-    one-block space, one batch per block size.  The stack is read entry by
-    entry, as (n, n, G), so that every reduction runs across the members.
+    of the matrices of that shape are deduplicated by their row ranks and
+    tested as isometries of the one-block space, one batch per block size.
     """
     k = ctx.labeling.k
     block_of = np.repeat(np.arange(ctx.s), k)
-    entries = mats.transpose(1, 2, 0)
     # the entries (r, c) whose row block is not below the column block
     rows, cols = np.nonzero(_order_matrix(ctx.poset)[block_of, block_of[:, None]] == 0)
-    ok = ~entries[rows, cols].any(axis=0)
+    ok = ~mats[:, rows, cols].any(axis=1)
     for size in sorted(set(k)):
-        weights, digits, powers = _tables(_block_space(ctx, size))
+        shaped = np.flatnonzero(ok)
+        if not len(shaped):
+            break
         # coordinates of each diagonal block of this size, (blocks, size)
         span = np.add.outer([ctx.offsets[r] for r in range(ctx.s) if k[r] == size], range(size))
-        # row ranks of the blocks, (blocks, size, G), in their smallest type:
-        # numpy sorts 8- and 16-bit keys by radix
-        blocks = entries[span[:, :, None], span[:, None, :]]
-        blocks = blocks.astype(np.min_scalar_type(len(weights) - 1))
-        keys = blocks[:, :, 0]
-        for j in range(1, size):
-            keys = keys * ctx.m + blocks[:, :, j]
-        keys = keys.transpose(0, 2, 1).reshape(-1, size)
+        blocks = mats[shaped[:, None, None, None], span[:, :, None], span[:, None, :]]
+        blocks = blocks.reshape(-1, size, size)
+        weights, digits, powers = _tables(_block_space(ctx, size))
+        # row ranks in their smallest type: numpy sorts 8- and 16-bit keys by radix
+        keys = (blocks @ powers).astype(np.min_scalar_type(len(weights) - 1))
         first, inverse = distinct_rows(keys)
-        preserved = _isometry_mask(digits[keys[first]], ctx.m, weights, digits, powers)
-        ok &= preserved[inverse].reshape(len(span), -1).all(axis=0)
+        preserved = _isometry_mask(blocks[first], ctx.m, weights, digits, powers)
+        ok[shaped] = preserved[inverse].reshape(len(shaped), -1).all(axis=1)
     return ok
 
 
@@ -491,6 +489,8 @@ def _search(
                         # digit sums are below 2m; unsigned, total - m wraps above total when total < m
                         ranks += np.minimum(total, total - m) * place
                 fi, qi = np.nonzero((weights[ranks] == expected).all(axis=(1, 2)))
+                if not len(fi):
+                    continue
                 grown = np.column_stack([columns[f + fi], pool[q + qi]])
                 if c + 1 == n and not check_bijective:
                     found.append(grown)
@@ -526,6 +526,21 @@ def triangular_group_order(
     return prod(diag_counts[k] for k in ctx.labeling.k) * ctx.m**free
 
 
+def _automorphism_bound(ctx: SpaceContext) -> int:
+    """An upper bound on the number of labeled automorphisms.
+
+    Each one permutes the elements of equal down-set size, up-set size and
+    block size among themselves, so there are at most the product of the
+    factorials of those classes' sizes.
+    """
+    poset = ctx.poset
+    sizes = Counter(
+        (down.bit_count(), up.bit_count(), k)
+        for down, up, k in zip(poset.down, poset.up, ctx.labeling.k)
+    )
+    return prod(factorial(size) for size in sizes.values())
+
+
 def verify_semidirect(
     ctx: SpaceContext,
     budget: int = DEFAULT_VECTOR_BUDGET,
@@ -550,11 +565,12 @@ def verify_semidirect(
     Refusal before the search.  In the default mode the triangular group is
     counted first, after the vector budget check (and only while each block
     space is within the default vector budget that `triangular_group_order`
-    reads), and the labeled automorphisms are listed first while s is within
-    `AUTOMORPHISM_SIZE_CAP`, so that every refusal keeps its message.  If w
-    is positive off 0 and u_order * aut_order (u_order alone past the cap)
-    exceeds `matrix_budget`, the search would exceed it too, and its error is
-    raised before it starts.  Each member of G is one tested candidate at
+    reads), so that every refusal keeps its message.  If w is positive off 0
+    and u_order exceeds `matrix_budget`, the search would exceed it too, and
+    its error is raised before it starts.  So it is when u_order * aut_order
+    does; the labeled automorphisms are listed for that only while s is
+    within `AUTOMORPHISM_SIZE_CAP` and u_order times `_automorphism_bound`
+    exceeds the budget, and at most budget // u_order + 1 of them.  Each member of G is one tested candidate at
     the search's last level, so it tests at least |G| candidates, and G
     holds the |U| |Aut| distinct products U . lift(phi).
     (a) U lies in G.  Let U be in it, x != 0, I the ideal that x's support
@@ -591,11 +607,18 @@ def verify_semidirect(
     automorphisms = None
     if count_first:
         check_vector_budget(ctx, budget)
-        u_order = triangular_group_order(ctx, matrix_budget)
-        if ctx.s <= AUTOMORPHISM_SIZE_CAP:
-            automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling)
-        least = u_order * (len(automorphisms) if automorphisms else 1)
-        if ctx.min_nonzero_weight > 0 and least > matrix_budget:
+        u_order = least = triangular_group_order(ctx, matrix_budget)
+        positive = ctx.min_nonzero_weight > 0
+        if (
+            positive
+            and u_order <= matrix_budget < u_order * _automorphism_bound(ctx)
+            and ctx.s <= AUTOMORPHISM_SIZE_CAP
+        ):
+            # all of them unless there are more than the budget allows
+            limit = matrix_budget // u_order + 1
+            automorphisms = ctx.poset.labeled_automorphisms(ctx.labeling, limit=limit)
+            least *= len(automorphisms)
+        if positive and least > matrix_budget:
             raise BudgetError(f"isometry search tests more than {matrix_budget} candidate images")
     mats = _isometries(ctx, budget, matrix_budget, exhaustive)
     if not count_first:

@@ -275,11 +275,14 @@ class Poset:
 
     # -- automorphisms ----------------------------------------------------
 
-    def automorphisms(self, labeling: Labeling | None = None) -> list[Permutation]:
+    def automorphisms(
+        self, labeling: Labeling | None = None, limit: int | None = None
+    ) -> list[Permutation]:
         """All order automorphisms, optionally restricted to block-size-preserving ones.
 
         Plain backtracking over images with down/up-set size pruning;
-        refuses ground sets larger than `AUTOMORPHISM_SIZE_CAP`.
+        refuses ground sets larger than `AUTOMORPHISM_SIZE_CAP`.  With
+        `limit`, the search stops once it has found that many.
         """
         if self.s > AUTOMORPHISM_SIZE_CAP:
             raise BudgetError(f"automorphism search capped at s={AUTOMORPHISM_SIZE_CAP}")
@@ -304,6 +307,8 @@ class Poset:
                 found.append(Permutation(tuple(v + 1 for v in image)))
                 return
             for j in candidates[i]:
+                if len(found) == limit:
+                    return
                 if used[j]:
                     continue
                 ok = all(
@@ -320,9 +325,11 @@ class Poset:
         backtrack(0)
         return sorted(found, key=lambda p: p.image)
 
-    def labeled_automorphisms(self, labeling: Labeling) -> list[Permutation]:
+    def labeled_automorphisms(
+        self, labeling: Labeling, limit: int | None = None
+    ) -> list[Permutation]:
         """The subgroup of automorphisms phi with k_{phi(i)} = k_i for all i."""
-        return self.automorphisms(labeling=labeling)
+        return self.automorphisms(labeling=labeling, limit=limit)
 
     def is_labeled_automorphism(self, phi: Permutation, labeling: Labeling) -> bool:
         if phi.degree != self.s or labeling.s != self.s:

@@ -75,11 +75,9 @@ def distinct_rows(keys: np.ndarray, inverse: bool = True) -> tuple[np.ndarray, n
     lexicographic order of the rows, and for each row the position of its
     distinct row among those (None when `inverse` is False)."""
     order = np.lexsort(keys.T[::-1])
-    # one contiguous row per key column, so that comparing neighbours reduces
-    # across the rows rather than along each short one
-    ordered = np.take(np.ascontiguousarray(keys.T), order, axis=1)
+    ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     if not inverse:
         return order[new], None
     positions = np.empty(len(keys), dtype=np.int64)

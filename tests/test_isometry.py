@@ -122,6 +122,17 @@ def test_in_triangular_group_beyond_64_blocks(poset, upper_ok):
     assert in_triangular_group(BlockMatrix.from_rows(ctx, rows)) == upper_ok
 
 
+def test_in_triangular_group_rejects_the_shape_before_any_block_table():
+    # the 2^21-vector block is past the default vector budget; T is refused on
+    # its shape alone, so its block's tables are never built
+    ctx = space_context(Poset.antichain(2), (21, 1), 2)
+    rows = [list(row) for row in BlockMatrix.identity(ctx).rows]
+    rows[0][21] = 1
+    assert not in_triangular_group(BlockMatrix.from_rows(ctx, rows))
+    with pytest.raises(BudgetError):
+        in_triangular_group(BlockMatrix.identity(ctx))
+
+
 def test_triangular_members_are_isometries(chain2_m2, vee_m2, antichain2_m3):
     for ctx in (chain2_m2, vee_m2, antichain2_m3):
         members = [T for T in all_matrices(ctx) if in_triangular_group(T)]
@@ -718,6 +729,56 @@ def test_group_search_is_refused_on_the_order_of_the_product(monkeypatch):
     report = verify_semidirect(ctx)
     assert (report.gl_order, report.u_order, report.aut_order) == (40320, 1, 40320)
     assert report.product_matches and report.all_decomposed
+
+
+@pytest.mark.parametrize("poset, k, m", [(Poset.antichain(3), (1, 1, 1), 3), (Poset.chain(2), (2, 1), 2)])
+def test_group_search_in_one_pair_chunks(monkeypatch, poset, k, m):
+    # most chunks of one (partial map, candidate) pair keep no survivor
+    ctx = space_context(poset, k, m)
+    expected = [T.rows for T in enumerate_isometry_group(ctx)]
+    monkeypatch.setattr(isometry, "_CHUNK", 1)
+    assert [T.rows for T in enumerate_isometry_group(ctx)] == expected
+
+
+def test_automorphisms_are_listed_before_the_search_only_when_they_can_refuse(monkeypatch):
+    # |U| = 1 and at most 8! automorphisms: below the default budget no refusal
+    # can fire, so none are listed before the search
+    ctx = space_context(Poset.antichain(8), (1,) * 8, 2)
+    events = []
+    listing = Poset.labeled_automorphisms
+
+    def listed(poset, labeling, limit=None):
+        found = listing(poset, labeling, limit=limit)
+        events.append(("listed", limit, len(found)))
+        return found
+
+    def searched(space, *args):
+        if space != ctx:  # the one-block spaces of the triangular count
+            return search(space, *args)
+        events.append(("searched", space))
+        raise KeyboardInterrupt
+
+    search = isometry._search
+
+    monkeypatch.setattr(Poset, "labeled_automorphisms", listed)
+    monkeypatch.setattr(isometry, "_search", searched)
+    with pytest.raises(KeyboardInterrupt):
+        verify_semidirect(ctx)
+    assert events == [("searched", ctx)]
+    # past the budget, no more are listed than the refusal needs
+    events.clear()
+    with pytest.raises(BudgetError):
+        verify_semidirect(ctx, matrix_budget=10_000)
+    assert events == [("listed", 10_001, 10_001)]
+
+
+def test_automorphism_listing_stops_at_the_limit():
+    poset, labeling = Poset.antichain(5), Labeling((1,) * 5)
+    every = poset.labeled_automorphisms(labeling)
+    assert len(every) == factorial(5) == isometry._automorphism_bound(space_context(poset, (1,) * 5, 2))
+    assert poset.labeled_automorphisms(labeling, limit=121) == every
+    some = poset.labeled_automorphisms(labeling, limit=7)
+    assert len(some) == 7 and set(some) <= set(every)
 
 
 def _corrupt_duplicate(mats):
