@@ -397,8 +397,9 @@ def enumerate_isometry_group(
     (-x, m - a), and x -> -x permutes the span.  A complete candidate
     preserves the weight of every vector; when the weight vanishes only at 0
     that makes it bijective (see `_needs_bijectivity_test`), and otherwise
-    it is tested to send no nonzero vector to 0.  `matrix_budget` bounds the candidate images tested, one per
-    partial map and same-weight vector, counted as the search runs.
+    it is tested to send no nonzero vector to 0.  `matrix_budget` bounds the
+    candidate images tested, one per partial map and same-weight vector,
+    counted as the search runs.
     `exhaustive` scans all m^(n^2) matrices instead, for cross-validation on
     tiny spaces; there `matrix_budget` bounds m^(n^2) before any is built.
     """
@@ -570,9 +571,10 @@ def verify_semidirect(
     its error is raised before it starts.  So it is when u_order * aut_order
     does; the labeled automorphisms are listed for that only while s is
     within `AUTOMORPHISM_SIZE_CAP` and u_order times `_automorphism_bound`
-    exceeds the budget, and at most budget // u_order + 1 of them.  Each member of G is one tested candidate at
-    the search's last level, so it tests at least |G| candidates, and G
-    holds the |U| |Aut| distinct products U . lift(phi).
+    exceeds the budget, and at most budget // u_order + 1 of them.  Each
+    member of G is one tested candidate at the search's last level, so it
+    tests at least |G| candidates, and G holds the |U| |Aut| distinct
+    products U . lift(phi).
     (a) U lies in G.  Let U be in it, x != 0, I the ideal that x's support
     generates and M its maximal set, which lies in supp(x).  Block i of Ux
     is the sum of U_ij x_j over j >= i (U_ij vanishes unless i <= j), so it
@@ -609,10 +611,12 @@ def verify_semidirect(
         check_vector_budget(ctx, budget)
         u_order = least = triangular_group_order(ctx, matrix_budget)
         positive = ctx.min_nonzero_weight > 0
+        # s! is at least the class bound: small spaces never form the classes
         if (
             positive
-            and u_order <= matrix_budget < u_order * _automorphism_bound(ctx)
             and ctx.s <= AUTOMORPHISM_SIZE_CAP
+            and u_order <= matrix_budget < u_order * factorial(ctx.s)
+            and u_order * _automorphism_bound(ctx) > matrix_budget
         ):
             # all of them unless there are more than the budget allows
             limit = matrix_budget // u_order + 1
