@@ -740,6 +740,10 @@ def test_group_search_in_one_pair_chunks(monkeypatch, poset, k, m):
     assert [T.rows for T in enumerate_isometry_group(ctx)] == expected
 
 
+class Searched(Exception):
+    """Stops a test at the group search of the full space."""
+
+
 def test_automorphisms_are_listed_before_the_search_only_when_they_can_refuse(monkeypatch):
     # |U| = 1 and at most 8! automorphisms: below the default budget no refusal
     # can fire, so none are listed before the search
@@ -756,13 +760,13 @@ def test_automorphisms_are_listed_before_the_search_only_when_they_can_refuse(mo
         if space != ctx:  # the one-block spaces of the triangular count
             return search(space, *args)
         events.append(("searched", space))
-        raise KeyboardInterrupt
+        raise Searched
 
     search = isometry._search
 
     monkeypatch.setattr(Poset, "labeled_automorphisms", listed)
     monkeypatch.setattr(isometry, "_search", searched)
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(Searched):
         verify_semidirect(ctx)
     assert events == [("searched", ctx)]
     # past the budget, no more are listed than the refusal needs
